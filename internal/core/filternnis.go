@@ -133,10 +133,10 @@ func (f *FilterIndependent) Banks() int { return len(f.banks) }
 // Point returns the indexed point with the given id.
 func (f *FilterIndependent) Point(id int32) vector.Vec { return f.points[id] }
 
-// bucketRef identifies one selected bucket: bank index and packed key.
+// bucketRef identifies one selected bucket: bank index and slot.
 type bucketRef struct {
 	bank int32
-	key  uint64
+	slot int32
 }
 
 // fiQuerier is the pooled per-query scratch of the Section 5 sampler,
@@ -184,7 +184,7 @@ type fiQuerier struct {
 func (qr *fiQuerier) scratchBytes() int {
 	return qr.sim.retainedBytes() +
 		4*(cap(qr.flat)+cap(qr.order)+cap(qr.pend)) +
-		16*cap(qr.refs) + 24*(cap(qr.master)+cap(qr.contents)) +
+		8*cap(qr.refs) + 24*(cap(qr.master)+cap(qr.contents)) +
 		8*(cap(qr.fw.tree)+cap(qr.batchOut)+cap(qr.vals)) +
 		qr.scratch.RetainedBytes()
 }
@@ -260,10 +260,10 @@ func (f *FilterIndependent) buildPlan(q vector.Vec, qr *fiQuerier, st *QueryStat
 	for l, bank := range f.banks {
 		bp := bank.QueryInto(q, &qr.scratch)
 		st.filters(bp.FilterEvals)
-		for _, key := range bp.Keys {
+		for _, slot := range bp.Slots {
 			st.bucket()
-			qr.refs = append(qr.refs, bucketRef{bank: int32(l), key: key})
-			ids := bank.Bucket(key)
+			qr.refs = append(qr.refs, bucketRef{bank: int32(l), slot: slot})
+			ids := bank.BucketAt(slot)
 			qr.master = append(qr.master, ids)
 			qr.total += len(ids)
 		}
@@ -386,14 +386,14 @@ func (f *FilterIndependent) simBlock(qr *fiQuerier, q vector.Vec, ids []int32, s
 }
 
 // multiplicity returns c_p: in how many selected buckets point id occurs.
-// Each bank stores a point exactly once (under KeyOf), so one pass over
+// Each bank stores a point exactly once (in slot SlotOf), so one pass over
 // the selected refs suffices — no per-query set structure needed.
 //
 //fairnn:noalloc
 func (f *FilterIndependent) multiplicity(qr *fiQuerier, id int32) int {
 	c := 0
 	for _, ref := range qr.refs {
-		if f.banks[ref.bank].KeyOf(id) == ref.key {
+		if f.banks[ref.bank].SlotOf(id) == ref.slot {
 			c++
 		}
 	}
@@ -410,9 +410,9 @@ func (f *FilterIndependent) QueryNN(q vector.Vec, st *QueryStats) (id int32, ok 
 	for _, bank := range f.banks {
 		bp := bank.QueryInto(q, &qr.scratch)
 		st.filters(bp.FilterEvals)
-		for _, key := range bp.Keys {
+		for _, slot := range bp.Slots {
 			st.bucket()
-			for _, cand := range bank.Bucket(key) {
+			for _, cand := range bank.BucketAt(slot) {
 				st.point()
 				st.score()
 				if vector.Dot(q, f.points[cand]) >= f.beta {

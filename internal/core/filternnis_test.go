@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"fairnn/internal/dataset"
+	"fairnn/internal/rng"
 	"fairnn/internal/stats"
 	"fairnn/internal/vector"
 )
@@ -233,5 +237,80 @@ func TestFilterSimMemoSharedAcrossDraws(t *testing.T) {
 	}
 	if st.ScoreCacheHits == 0 {
 		t.Error("similarity memo recorded no hits across 50 draws")
+	}
+}
+
+// filterStreamDigest runs a fixed-seed Section 5 workload — 500 Sample
+// calls cycling over a dozen queries, one SampleK(50), QueryNN and
+// RecalledBall — and returns an FNV-64a hash of every returned id and of
+// the summed QueryStats counters.
+func filterStreamDigest(t *testing.T, memo MemoOptions) string {
+	t.Helper()
+	w := plantedWorkload(t, 600, 24, 60, 0.8, 0.5, 307)
+	fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, FilterIndependentOptions{Memo: memo}, 311)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []vector.Vec{w.Query}
+	for _, id := range w.BallIDs[:5] {
+		queries = append(queries, w.Points[id])
+	}
+	for _, id := range w.MidIDs[:3] {
+		queries = append(queries, w.Points[id])
+	}
+	r := rng.New(313)
+	for len(queries) < 12 {
+		queries = append(queries, vector.RandomUnit(r, 32))
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	var st QueryStats
+	for i := 0; i < 500; i++ {
+		id, ok := fi.Sample(queries[i%len(queries)], &st)
+		if !ok {
+			id = -1
+		}
+		put(int64(id))
+	}
+	for _, id := range fi.SampleK(w.Query, 50, &st) {
+		put(int64(id))
+	}
+	for _, q := range queries {
+		id, ok := fi.QueryNN(q, &st)
+		if !ok {
+			id = -1
+		}
+		put(int64(id))
+		for _, id := range fi.RecalledBall(q, &st) {
+			put(int64(id))
+		}
+	}
+	for _, c := range []int{st.BucketsScanned, st.PointsInspected, st.ScoreEvals, st.BatchScored,
+		st.ScoreCacheHits, st.MemoProbes, st.Rounds, st.FilterEvals} {
+		put(int64(c))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestFilterStreamDigestPinned pins the Section 5 sampler's same-seed
+// output and work counters under both memo backends. A change to bucket
+// enumeration, plan order, the rejection loop or the counters' charging
+// shows up here; a deliberate stream change must re-pin these values
+// behind the chi-squared tests above.
+func TestFilterStreamDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		memo MemoOptions
+		want string
+	}{
+		{MemoOptions{Backend: MemoDense}, "cedb5900cf89d59c"},
+		{MemoOptions{Backend: MemoCompact}, "6a4f655a426baca4"},
+	} {
+		if got := filterStreamDigest(t, c.memo); got != c.want {
+			t.Errorf("%s memo: stream digest %s, want %s", backendName(c.memo.Backend), got, c.want)
+		}
 	}
 }

@@ -3,8 +3,15 @@
 // arranged as t independent sub-structures (tensoring). Every data point is
 // stored exactly once — in the bucket indexed by the t vectors achieving
 // the maximum inner product with the point, one per sub-structure. A query
-// evaluates all filters and enumerates the buckets whose component filters
-// score at least α·Δ_{q,i} − f(α, ε).
+// evaluates all filters, admits in each sub-structure i the set I_i of
+// filters scoring at least α·Δ_{q,i} − f(α, ε), and returns the non-empty
+// buckets of I_1 × ... × I_t.
+//
+// The buckets are stored flat, in ascending key order and grouped by their
+// leading filter, so a query scans only the stored buckets whose leading
+// filter is admitted and keeps those whose other t−1 filters are admitted
+// too. Enumeration therefore costs at most n bucket checks, not the
+// |I_1|·...·|I_t| tuples of the cartesian product, most of which are empty.
 //
 // This is the "much simpler" nearly-linear-space alternative to the LSH
 // tables: construction stores n + t·m^(1/t) items, and Theorem 7 bounds the
@@ -12,12 +19,21 @@
 package filter
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"fairnn/internal/rng"
 	"fairnn/internal/vector"
 )
+
+// ErrKeySpace reports a bank geometry whose bucket keys do not fit: a key
+// packs the t filter indexes as a base-m^(1/t) number, so M1T^T must not
+// exceed MaxInt64, which also bounds QueryPlan.Combos, an int.
+var ErrKeySpace = errors.New("filter: bucket key space M1T^T exceeds 63 bits")
 
 // F returns f(α, ε) = sqrt(2(1−α²) ln(1/ε)), the query threshold slack of
 // Section 5.
@@ -95,23 +111,46 @@ func (p Params) resolve(n int) Params {
 	return p
 }
 
+// checkKeySpace rejects a resolved geometry whose key space M1T^T exceeds
+// MaxInt64, where distinct argmax tuples would share a bucket.
+func (p Params) checkKeySpace() error {
+	hi, space := uint64(0), uint64(1)
+	for i := 0; i < p.T && hi == 0; i++ {
+		hi, space = bits.Mul64(space, uint64(p.M1T))
+	}
+	if hi != 0 || space > math.MaxInt64 {
+		return fmt.Errorf("%w: T=%d, M1T=%d", ErrKeySpace, p.T, p.M1T)
+	}
+	return nil
+}
+
 // Bank is one Section 5 data structure: t sub-structures of m^(1/t)
-// Gaussian vectors each, plus the bucket hash table. Each indexed point is
+// Gaussian vectors each, plus the buckets. Each indexed point is
 // referenced exactly once.
+//
+// The buckets are stored flat. Slot s is the s-th non-empty bucket in
+// ascending key order: its key is keys[s] and its ids, ascending, are
+// ids[start[s]:start[s+1]]. Because the leading digit of a key is its most
+// significant, the slots of leading digit j are the contiguous range
+// lead[j]:lead[j+1], and rest[s·(t−1):(s+1)·(t−1)] holds slot s's other
+// digits, most significant first.
 //
 //fairnn:frozen
 type Bank struct {
 	params Params
 	// vecs[i][j] is filter vector a_{i,j}.
-	vecs [][]vector.Vec
-	// keyOf[id] is the bucket key of point id (its argmax tuple, packed).
-	keyOf []uint64
-	// buckets maps packed keys to the ids stored there.
-	buckets map[uint64][]int32
-	dim     int
+	vecs   [][]vector.Vec
+	keys   []uint64
+	start  []int32
+	ids    []int32
+	slotOf []int32 // slotOf[id] is the slot point id is stored in
+	lead   []int32
+	rest   []uint32
 }
 
-// NewBank indexes the points (assumed unit vectors) into a fresh bank.
+// NewBank indexes the points (assumed unit vectors) into a fresh bank. It
+// returns an error wrapping ErrKeySpace when the resolved T and M1T
+// overflow the bucket key.
 func NewBank(points []vector.Vec, params Params, r *rng.Source) (*Bank, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -120,13 +159,13 @@ func NewBank(points []vector.Vec, params Params, r *rng.Source) (*Bank, error) {
 		return nil, errors.New("filter: empty point set")
 	}
 	params = params.resolve(len(points))
+	if err := params.checkKeySpace(); err != nil {
+		return nil, err
+	}
 	dim := len(points[0])
 	b := &Bank{
-		params:  params,
-		vecs:    make([][]vector.Vec, params.T),
-		keyOf:   make([]uint64, len(points)),
-		buckets: make(map[uint64][]int32),
-		dim:     dim,
+		params: params,
+		vecs:   make([][]vector.Vec, params.T),
 	}
 	for i := 0; i < params.T; i++ {
 		b.vecs[i] = make([]vector.Vec, params.M1T)
@@ -134,13 +173,57 @@ func NewBank(points []vector.Vec, params Params, r *rng.Source) (*Bank, error) {
 			b.vecs[i][j] = vector.Gaussian(r, dim)
 		}
 	}
+	keyOf := make([]uint64, len(points))
 	dots := make([]float64, params.M1T)
 	for id, p := range points {
-		key := b.argmaxKeyInto(p, dots)
-		b.keyOf[id] = key
-		b.buckets[key] = append(b.buckets[key], int32(id))
+		keyOf[id] = b.argmaxKeyInto(p, dots)
 	}
+	b.buildLayout(keyOf)
 	return b, nil
+}
+
+// buildLayout builds the flat bucket arrays from each point's key: the ids
+// sorted by (key, id), one slot per distinct key, the slot ranges of each
+// leading digit, and every slot's other digits.
+func (b *Bank) buildLayout(keyOf []uint64) {
+	t, m1t := b.params.T, uint64(b.params.M1T)
+	b.ids = make([]int32, len(keyOf))
+	for i := range b.ids {
+		b.ids[i] = int32(i)
+	}
+	slices.SortFunc(b.ids, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(keyOf[x], keyOf[y]), cmp.Compare(x, y))
+	})
+	opens := func(k int) bool { return k == 0 || keyOf[b.ids[k]] != keyOf[b.ids[k-1]] }
+	slots := 0
+	for k := range b.ids {
+		if opens(k) {
+			slots++
+		}
+	}
+	b.keys = make([]uint64, 0, slots)
+	b.start = make([]int32, 0, slots+1)
+	b.rest = make([]uint32, slots*(t-1))
+	b.lead = make([]int32, m1t+1)
+	b.slotOf = make([]int32, len(keyOf))
+	for k, id := range b.ids {
+		if opens(k) {
+			key := keyOf[id]
+			s := len(b.keys)
+			b.keys = append(b.keys, key)
+			b.start = append(b.start, int32(k))
+			for i := t - 1; i > 0; i-- {
+				b.rest[s*(t-1)+i-1] = uint32(key % m1t)
+				key /= m1t
+			}
+			b.lead[key+1]++
+		}
+		b.slotOf[id] = int32(len(b.keys) - 1)
+	}
+	b.start = append(b.start, int32(len(b.ids)))
+	for j := range m1t {
+		b.lead[j+1] += b.lead[j]
+	}
 }
 
 // Params returns the resolved parameters of the bank.
@@ -152,12 +235,21 @@ func (b *Bank) NumFilters() int { return b.params.T * b.params.M1T }
 // KeyOf returns the bucket key point id was stored under.
 //
 //fairnn:noalloc
-func (b *Bank) KeyOf(id int32) uint64 { return b.keyOf[id] }
+func (b *Bank) KeyOf(id int32) uint64 { return b.keys[b.slotOf[id]] }
 
-// Bucket returns the ids stored under key (owned by the bank).
+// SlotOf returns the slot of the bucket point id was stored in.
 //
 //fairnn:noalloc
-func (b *Bank) Bucket(key uint64) []int32 { return b.buckets[key] }
+func (b *Bank) SlotOf(id int32) int32 { return b.slotOf[id] }
+
+// BucketAt returns the ids stored in slot s, in ascending order (owned by
+// the bank).
+//
+//fairnn:noalloc
+func (b *Bank) BucketAt(s int32) []int32 {
+	lo, hi := b.start[s], b.start[s+1]
+	return b.ids[lo:hi:hi]
+}
 
 // argmaxKey maps a point to the packed tuple (j_1, ..., j_t) of per-sub-
 // structure argmax filters, with throwaway scratch.
@@ -186,28 +278,37 @@ func (b *Bank) argmaxKeyInto(p vector.Vec, dots []float64) uint64 {
 }
 
 // QueryPlan is the result of evaluating all filters for a query: the
-// per-sub-structure index sets I_i and the packed keys of the non-empty
-// buckets in I_1 × ... × I_t.
+// non-empty buckets of I_1 × ... × I_t, where I_i are the filters
+// sub-structure i admits.
 type QueryPlan struct {
-	// Keys are the packed keys of non-empty candidate buckets.
+	// Keys are the packed keys of the non-empty candidate buckets, in
+	// ascending order.
 	Keys []uint64
+	// Slots are the same buckets' slots (see Bank.BucketAt), parallel to
+	// Keys.
+	Slots []int32
 	// Candidates is the total number of points across those buckets.
 	Candidates int
 	// FilterEvals is the number of inner products computed (t·m^(1/t)).
 	FilterEvals int
-	// Combos is the size of the full cartesian product enumerated.
+	// Combos is |I_1|·...·|I_t|, the size of the cartesian product the
+	// buckets are drawn from. It is computed, not enumerated.
 	Combos int
+	// Scanned is the number of stored buckets the enumeration checked:
+	// those whose leading filter is admitted.
+	Scanned int
 }
 
 // QueryScratch holds the reusable buffers of Bank.QueryInto: filter dot
-// products, per-sub-structure admitted index sets, the odometer counters,
-// and the output key list. A zero value is ready to use; after warm-up a
-// retained scratch makes bank queries allocation-free.
+// products, the admitted-filter marks, and the output key and slot lists.
+// A zero value is ready to use; after warm-up a retained scratch makes
+// bank queries allocation-free.
 type QueryScratch struct {
-	dots     []float64
-	idxSets  [][]int32
-	counters []int
-	keys     []uint64
+	dots []float64
+	// admit[i·M1T+j] reports whether sub-structure i admits filter j.
+	admit []bool
+	keys  []uint64
+	slots []int32
 }
 
 // RetainedBytes reports the backing-array footprint of the scratch, for
@@ -215,11 +316,7 @@ type QueryScratch struct {
 //
 //fairnn:noalloc
 func (s *QueryScratch) RetainedBytes() int {
-	total := 8*cap(s.dots) + 24*cap(s.idxSets) + 8*cap(s.counters) + 8*cap(s.keys)
-	for _, idx := range s.idxSets {
-		total += 4 * cap(idx)
-	}
-	return total
+	return 8*cap(s.dots) + cap(s.admit) + 8*cap(s.keys) + 4*cap(s.slots)
 }
 
 // Trim frees the backing arrays when RetainedBytes exceeds maxBytes; the
@@ -241,24 +338,30 @@ func (b *Bank) Query(q vector.Vec) QueryPlan {
 
 // QueryInto evaluates all filters against q and enumerates candidate
 // buckets: sub-structure i admits filters with ⟨a_{i,j}, q⟩ ≥ α·Δ_{q,i} −
-// f(α, ε). Only non-empty buckets are returned. The returned plan's Keys
-// slice aliases the scratch and is valid until the scratch's next use.
+// f(α, ε). Only non-empty buckets are returned, in ascending key order
+// (the order of a digit-by-digit walk over I_1 × ... × I_t). Rather than
+// walk the product, the query checks the stored buckets whose leading
+// filter is admitted and keeps those whose other filters are admitted
+// too, so its cost is Scanned, not Combos. The returned plan's Keys and
+// Slots alias the scratch and are valid until the scratch's next use.
 //
 //fairnn:noalloc
 func (b *Bank) QueryInto(q vector.Vec, s *QueryScratch) QueryPlan {
 	params := b.params
+	t, m1t := params.T, params.M1T
 	f := F(params.Alpha, params.Eps)
-	if cap(s.dots) < params.M1T {
-		s.dots = make([]float64, params.M1T)
+	if cap(s.dots) < m1t {
+		s.dots = make([]float64, m1t)
 	}
-	dots := s.dots[:params.M1T]
-	for len(s.idxSets) < params.T {
-		s.idxSets = append(s.idxSets, nil)
+	dots := s.dots[:m1t]
+	if cap(s.admit) < t*m1t {
+		s.admit = make([]bool, t*m1t)
 	}
-	idxSets := s.idxSets[:params.T]
-	for i := 0; i < params.T; i++ {
+	admit := s.admit[:t*m1t]
+	plan := QueryPlan{FilterEvals: t * m1t, Combos: 1}
+	for i := 0; i < t; i++ {
 		// One batched kernel call per sub-structure (bit-identical to the
-		// per-filter vector.Dot, so admitted index sets are unchanged).
+		// per-filter vector.Dot, so admitted filters are unchanged).
 		vector.DotBatch(q, b.vecs[i], dots)
 		maxDot := math.Inf(-1)
 		for _, d := range dots {
@@ -267,54 +370,40 @@ func (b *Bank) QueryInto(q vector.Vec, s *QueryScratch) QueryPlan {
 			}
 		}
 		thr := params.Alpha*maxDot - f
-		idx := idxSets[i][:0]
+		row := admit[i*m1t : (i+1)*m1t]
+		admitted := 0
 		for j, d := range dots {
-			if d >= thr {
-				idx = append(idx, int32(j))
+			row[j] = d >= thr
+			if row[j] {
+				admitted++
 			}
 		}
-		idxSets[i] = idx
+		plan.Combos *= admitted
 	}
-	plan := QueryPlan{FilterEvals: params.T * params.M1T}
-	// Enumerate the cartesian product I_1 × ... × I_t iteratively.
-	combos := 1
-	for _, set := range idxSets {
-		combos *= len(set)
-	}
-	plan.Combos = combos
-	if combos == 0 {
+	if plan.Combos == 0 {
 		return plan
 	}
-	if cap(s.counters) < params.T {
-		s.counters = make([]int, params.T)
-	}
-	counters := s.counters[:params.T]
-	for i := range counters {
-		counters[i] = 0
-	}
-	s.keys = s.keys[:0]
-	for {
-		key := uint64(0)
-		for i := 0; i < params.T; i++ {
-			key = key*uint64(params.M1T) + uint64(idxSets[i][counters[i]])
+	keys, slots := s.keys[:0], s.slots[:0]
+	w := t - 1
+	for j, ok := range admit[:m1t] {
+		if !ok {
+			continue
 		}
-		if ids := b.buckets[key]; len(ids) > 0 {
-			s.keys = append(s.keys, key)
-			plan.Candidates += len(ids)
-		}
-		// Advance the odometer.
-		i := params.T - 1
-		for ; i >= 0; i-- {
-			counters[i]++
-			if counters[i] < len(idxSets[i]) {
-				break
+		lo, hi := int(b.lead[j]), int(b.lead[j+1])
+		plan.Scanned += hi - lo
+	scan:
+		for slot := lo; slot < hi; slot++ {
+			for i, d := range b.rest[slot*w : slot*w+w] {
+				if !admit[(i+1)*m1t+int(d)] {
+					continue scan
+				}
 			}
-			counters[i] = 0
-		}
-		if i < 0 {
-			break
+			keys = append(keys, b.keys[slot])
+			slots = append(slots, int32(slot))
+			plan.Candidates += int(b.start[slot+1] - b.start[slot])
 		}
 	}
-	plan.Keys = s.keys
+	s.keys, s.slots = keys, slots
+	plan.Keys, plan.Slots = keys, slots
 	return plan
 }

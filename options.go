@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"fairnn/internal/filter"
 	"fairnn/internal/shard"
 )
 
@@ -752,7 +753,14 @@ func NewVec(points []Vec, opts ...Option) (Sampler[Vec], error) {
 		vopts := b.vopts
 		vopts.Memo = memoOr(vopts.Memo, b.memo)
 		vopts.Obs = b.reg
-		return NewVecIndependent(points, alpha, b.beta, vopts, cfg.withDefaults().Seed)
+		fi, err := NewVecIndependent(points, alpha, b.beta, vopts, cfg.withDefaults().Seed)
+		if errors.Is(err, filter.ErrKeySpace) {
+			return nil, fmt.Errorf("%w: filter geometry: %w", ErrBadOption, err)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return fi, nil
 	case Exact:
 		if b.lshTuned() || b.crossPoly || b.memo != (MemoOptions{}) {
 			return nil, fmt.Errorf("%w: Algorithm(Exact) is a linear scan — LSH and memo tuning have no effect", ErrBadOption)

@@ -3,6 +3,7 @@ package fairnn_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"fairnn"
@@ -235,6 +236,14 @@ func TestBuilderTypedErrors(t *testing.T) {
 	}
 	if _, err := fairnn.NewVec([]fairnn.Vec{{1, 0}}, fairnn.Radius(1.5)); !errors.Is(err, fairnn.ErrBadRadius) {
 		t.Errorf("alpha 1.5 err = %v, want ErrBadRadius", err)
+	}
+	// A filter geometry whose bucket keys overflow 63 bits (300^8 ≈ 2^66)
+	// is refused rather than silently merging buckets.
+	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{N: 10, Dim: 8, Alpha: 0.8, Beta: 0.5, BallSize: 2, MidSize: 2, Seed: 5})
+	_, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.5),
+		fairnn.WithVecOptions(fairnn.VecOptions{T: 8, M1T: 300}))
+	if !errors.Is(err, fairnn.ErrBadOption) || !strings.Contains(err.Error(), "T=8, M1T=300") {
+		t.Errorf("overflowing filter geometry err = %v, want ErrBadOption naming T=8, M1T=300", err)
 	}
 }
 

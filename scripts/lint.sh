@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # lint.sh — the static invariant gate.
 #
-# Two layers run over the whole module:
+# Two layers run over the whole module, and again over bench/ (the
+# benchmark is a module of its own, so `./...` from the root skips it):
 #
 #   1. the stock `go vet` analyzers (stdlib correctness checks), and
 #   2. the fairnn suite (cmd/fairnnlint) driven through go vet's
@@ -18,6 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 tool="${FAIRNNLINT:-$(mktemp -d)/fairnnlint}"
+case "$tool" in /*) ;; *) tool="$PWD/$tool" ;; esac
 
 echo "lint: go vet (stock analyzers)"
 go vet ./...
@@ -27,5 +29,9 @@ go build -o "$tool" ./cmd/fairnnlint
 
 echo "lint: go vet -vettool=$tool (fairnn invariant suite)"
 go vet -vettool="$tool" ./...
+
+echo "lint: bench/ (go vet, stock analyzers and fairnn invariant suite)"
+go vet -C bench ./...
+go vet -C bench -vettool="$tool" ./...
 
 echo "lint: clean"
