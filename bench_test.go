@@ -1,7 +1,7 @@
 // Benchmarks regenerating every figure of the paper's evaluation section
 // (at reduced Monte-Carlo scale — shapes, not absolute numbers), plus
 // per-query micro-benchmarks for each sampler (the Q3 cost discussion) and
-// ablation benches for the design constants called out in DESIGN.md.
+// ablation benches for the Section 4/5 design constants.
 //
 // Run with: go test -bench=. -benchmem
 package fairnn_test
@@ -46,7 +46,27 @@ func benchSets() setFixture {
 
 const benchRadius = 0.2
 
-var benchCfg = fairnn.Config{Seed: 7}
+// newBenchSet builds one structure over the benchSets fixture at the
+// shared radius and seed.
+func newBenchSet(b *testing.B, opts ...fairnn.Option) fairnn.Sampler[fairnn.Set] {
+	b.Helper()
+	s, err := fairnn.NewSet(benchSets().sets, append([]fairnn.Option{fairnn.Radius(benchRadius), fairnn.WithSeed(7)}, opts...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// newBenchFilter builds the Section 5 structure over a filter
+// benchmark's planted ball.
+func newBenchFilter(b *testing.B, w dataset.PlantedBall, opts ...fairnn.Option) fairnn.Sampler[fairnn.Vec] {
+	b.Helper()
+	fi, err := fairnn.NewVec(w.Points, append([]fairnn.Option{fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.5), fairnn.WithSeed(9)}, opts...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fi
+}
 
 // ---------------------------------------------------------------------------
 // Figure benches: one per table/figure of the evaluation section.
@@ -188,10 +208,7 @@ func BenchmarkQ3CostTable(b *testing.B) {
 
 func BenchmarkQueryStandardLSH(b *testing.B) {
 	fix := benchSets()
-	std, err := fairnn.NewSetStandard(fix.sets, benchRadius, benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	std := newBenchSet(b, fairnn.Algorithm(fairnn.Standard)).(*fairnn.SetStandard)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := fix.sets[fix.queries[i%len(fix.queries)]]
@@ -201,10 +218,7 @@ func BenchmarkQueryStandardLSH(b *testing.B) {
 
 func BenchmarkQueryNaiveFair(b *testing.B) {
 	fix := benchSets()
-	std, err := fairnn.NewSetStandard(fix.sets, benchRadius, benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	std := newBenchSet(b, fairnn.Algorithm(fairnn.Standard)).(*fairnn.SetStandard)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := fix.sets[fix.queries[i%len(fix.queries)]]
@@ -214,10 +228,7 @@ func BenchmarkQueryNaiveFair(b *testing.B) {
 
 func BenchmarkQuerySamplerNNS(b *testing.B) {
 	fix := benchSets()
-	s, err := fairnn.NewSetSampler(fix.sets, benchRadius, benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := newBenchSet(b, fairnn.Algorithm(fairnn.NNS))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := fix.sets[fix.queries[i%len(fix.queries)]]
@@ -227,10 +238,7 @@ func BenchmarkQuerySamplerNNS(b *testing.B) {
 
 func BenchmarkQuerySampleRepeated(b *testing.B) {
 	fix := benchSets()
-	s, err := fairnn.NewSetSampler(fix.sets, benchRadius, benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := newBenchSet(b, fairnn.Algorithm(fairnn.NNS)).(*fairnn.SetSampler)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := fix.sets[fix.queries[i%len(fix.queries)]]
@@ -240,10 +248,7 @@ func BenchmarkQuerySampleRepeated(b *testing.B) {
 
 func BenchmarkQueryIndependentNNIS(b *testing.B) {
 	fix := benchSets()
-	d, err := fairnn.NewSetIndependent(fix.sets, benchRadius, fairnn.IndependentOptions{}, benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := newBenchSet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := fix.sets[fix.queries[i%len(fix.queries)]]
@@ -256,10 +261,7 @@ func BenchmarkQueryIndependentNNIS(b *testing.B) {
 // query contract introduced with the signature engine.
 func BenchmarkQueryIndependentNNISParallel(b *testing.B) {
 	fix := benchSets()
-	d, err := fairnn.NewSetIndependent(fix.sets, benchRadius, fairnn.IndependentOptions{}, benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := newBenchSet(b)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -275,10 +277,7 @@ func BenchmarkQueryIndependentNNISParallel(b *testing.B) {
 // 100 independent draws (the Section 4 plan-reuse path).
 func BenchmarkQueryIndependentSampleK100(b *testing.B) {
 	fix := benchSets()
-	d, err := fairnn.NewSetIndependent(fix.sets, benchRadius, fairnn.IndependentOptions{}, benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := newBenchSet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := fix.sets[fix.queries[i%len(fix.queries)]]
@@ -291,10 +290,7 @@ func BenchmarkQueryIndependentSampleK100(b *testing.B) {
 // steady state allocates nothing at all.
 func BenchmarkQueryIndependentSampleK100Into(b *testing.B) {
 	fix := benchSets()
-	d, err := fairnn.NewSetIndependent(fix.sets, benchRadius, fairnn.IndependentOptions{}, benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := newBenchSet(b)
 	dst := make([]int32, 0, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -305,7 +301,7 @@ func BenchmarkQueryIndependentSampleK100Into(b *testing.B) {
 
 func BenchmarkQueryExactScan(b *testing.B) {
 	fix := benchSets()
-	e := fairnn.NewSetExact(fix.sets, benchRadius, 7)
+	e := newBenchSet(b, fairnn.Algorithm(fairnn.Exact))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := fix.sets[fix.queries[i%len(fix.queries)]]
@@ -317,10 +313,7 @@ func BenchmarkQueryFilterIndependent(b *testing.B) {
 	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: 1000, Dim: 32, Alpha: 0.8, Beta: 0.5, BallSize: 20, MidSize: 60, Seed: 5,
 	})
-	fi, err := fairnn.NewVecIndependent(w.Points, 0.8, 0.5, fairnn.VecOptions{}, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
+	fi := newBenchFilter(b, w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fi.Sample(w.Query, nil)
@@ -332,10 +325,7 @@ func BenchmarkQueryFilterSampleK100(b *testing.B) {
 	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: 1000, Dim: 32, Alpha: 0.8, Beta: 0.5, BallSize: 20, MidSize: 60, Seed: 5,
 	})
-	fi, err := fairnn.NewVecIndependent(w.Points, 0.8, 0.5, fairnn.VecOptions{}, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
+	fi := newBenchFilter(b, w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fi.SampleK(w.Query, 100, nil)
@@ -346,20 +336,18 @@ func BenchmarkQueryFilterSampleK100(b *testing.B) {
 // Construction benchmarks (Theorem 1/2 preprocessing costs).
 
 func BenchmarkBuildSampler(b *testing.B) {
-	fix := benchSets()
+	benchSets() // build the fixture outside the timed loop
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fairnn.NewSetSampler(fix.sets, benchRadius, benchCfg); err != nil {
-			b.Fatal(err)
-		}
+		newBenchSet(b, fairnn.Algorithm(fairnn.NNS))
 	}
 }
 
 func BenchmarkBuildIndependent(b *testing.B) {
-	fix := benchSets()
+	benchSets() // build the fixture outside the timed loop
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fairnn.NewSetIndependent(fix.sets, benchRadius, fairnn.IndependentOptions{}, benchCfg); err != nil {
-			b.Fatal(err)
-		}
+		newBenchSet(b)
 	}
 }
 
@@ -368,14 +356,12 @@ func BenchmarkBuildFilterIndependent(b *testing.B) {
 		N: 1000, Dim: 32, Alpha: 0.8, Beta: 0.5, BallSize: 20, MidSize: 60, Seed: 5,
 	})
 	for i := 0; i < b.N; i++ {
-		if _, err := fairnn.NewVecIndependent(w.Points, 0.8, 0.5, fairnn.VecOptions{}, 9); err != nil {
-			b.Fatal(err)
-		}
+		newBenchFilter(b, w)
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Ablations: the design constants DESIGN.md calls out.
+// Ablations: the Section 4/5 design constants.
 
 // BenchmarkAblationLambda sweeps the Section 4 segment cap λ: smaller λ
 // means higher per-segment acceptance but more clamping risk; larger λ
@@ -384,11 +370,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 	fix := benchSets()
 	for _, lambda := range []int{4, 8, 16, 32, 64} {
 		b.Run(benchName("lambda", lambda), func(b *testing.B) {
-			d, err := fairnn.NewSetIndependent(fix.sets, benchRadius,
-				fairnn.IndependentOptions{Lambda: lambda}, benchCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			d := newBenchSet(b, fairnn.WithIndependentOptions(fairnn.IndependentOptions{Lambda: lambda}))
 			var rounds int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -407,11 +389,7 @@ func BenchmarkAblationSigma(b *testing.B) {
 	fix := benchSets()
 	for _, sigma := range []int{16, 64, 256} {
 		b.Run(benchName("sigma", sigma), func(b *testing.B) {
-			d, err := fairnn.NewSetIndependent(fix.sets, benchRadius,
-				fairnn.IndependentOptions{SigmaBudget: sigma}, benchCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			d := newBenchSet(b, fairnn.WithIndependentOptions(fairnn.IndependentOptions{SigmaBudget: sigma}))
 			var rounds int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -434,11 +412,7 @@ func BenchmarkAblationTensoring(b *testing.B) {
 	})
 	for _, t := range []int{1, 2, 3, 4} {
 		b.Run(benchName("t", t), func(b *testing.B) {
-			fi, err := fairnn.NewVecIndependent(w.Points, 0.8, 0.5,
-				fairnn.VecOptions{T: t}, 9)
-			if err != nil {
-				b.Fatal(err)
-			}
+			fi := newBenchFilter(b, w, fairnn.WithVecOptions(fairnn.VecOptions{T: t}))
 			var evals int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -458,11 +432,7 @@ func BenchmarkAblationSketchEpsilon(b *testing.B) {
 	fix := benchSets()
 	for _, epsMilli := range []int{250, 500, 900} {
 		b.Run(benchName("eps_milli", epsMilli), func(b *testing.B) {
-			d, err := fairnn.NewSetIndependent(fix.sets, benchRadius,
-				fairnn.IndependentOptions{SketchEpsilon: float64(epsMilli) / 1000}, benchCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			d := newBenchSet(b, fairnn.WithIndependentOptions(fairnn.IndependentOptions{SketchEpsilon: float64(epsMilli) / 1000}))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := fix.sets[fix.queries[i%len(fix.queries)]]
@@ -521,11 +491,7 @@ func BenchmarkAblationSketchKind(b *testing.B) {
 		b.Run(kind.name, func(b *testing.B) {
 			// SketchMinBucket 2 forces sketches to be stored for (nearly)
 			// every bucket so the memory comparison is visible.
-			d, err := fairnn.NewSetIndependent(fix.sets, benchRadius,
-				fairnn.IndependentOptions{SketchKind: kind.k, SketchMinBucket: 2}, benchCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			d := newBenchSet(b, fairnn.WithIndependentOptions(fairnn.IndependentOptions{SketchKind: kind.k, SketchMinBucket: 2})).(*fairnn.SetIndependent)
 			_, words := d.StoredSketches()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -9,30 +9,30 @@ import (
 // Sampling a near neighbor fairly: every user within the similarity
 // threshold is equally likely to be returned, and repeated queries are
 // independent.
-func ExampleNewSetIndependent() {
+func ExampleNewSet() {
 	users := []fairnn.Set{
 		fairnn.SetFromSlice([]uint32{1, 2, 3, 4, 5}),
 		fairnn.SetFromSlice([]uint32{1, 2, 3, 4, 6}),
 		fairnn.SetFromSlice([]uint32{90, 91, 92, 93, 94}),
 	}
-	sampler, err := fairnn.NewSetIndependent(users, 0.5, fairnn.IndependentOptions{}, fairnn.Config{Seed: 42})
+	sampler, err := fairnn.NewSet(users, fairnn.Radius(0.5), fairnn.WithSeed(42))
 	if err != nil {
 		panic(err)
 	}
 	id, ok := sampler.Sample(users[0], nil)
-	fmt.Println(ok, fairnn.Jaccard(users[0], sampler.Point(id)) >= 0.5)
+	fmt.Println(ok, fairnn.Jaccard(users[0], users[id]) >= 0.5)
 	// Output: true true
 }
 
 // Drawing k distinct near neighbors without replacement (Section 3.1).
-func ExampleNewSetSampler() {
+func ExampleNewSet_withoutReplacement() {
 	users := []fairnn.Set{
 		fairnn.SetFromSlice([]uint32{1, 2, 3, 4, 5}),
 		fairnn.SetFromSlice([]uint32{1, 2, 3, 4, 6}),
 		fairnn.SetFromSlice([]uint32{1, 2, 3, 5, 6}),
 		fairnn.SetFromSlice([]uint32{70, 71, 72, 73, 74}),
 	}
-	sampler, err := fairnn.NewSetSampler(users, 0.5, fairnn.Config{Seed: 7})
+	sampler, err := fairnn.NewSet(users, fairnn.Radius(0.5), fairnn.Algorithm(fairnn.NNS), fairnn.WithSeed(7))
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +41,7 @@ func ExampleNewSetSampler() {
 	allNear := true
 	for _, id := range ids {
 		distinct[id] = true
-		allNear = allNear && fairnn.Jaccard(users[0], sampler.Point(id)) >= 0.5
+		allNear = allNear && fairnn.Jaccard(users[0], users[id]) >= 0.5
 	}
 	fmt.Println(len(ids), len(distinct), allNear)
 	// Output: 3 3 true
@@ -50,18 +50,18 @@ func ExampleNewSetSampler() {
 // Weighted sampling (the paper's future-work direction): prefer closer
 // points with a caller-chosen weight while keeping everything in the ball
 // reachable.
-func ExampleNewSetWeighted() {
+func ExampleNewSet_weighted() {
 	users := []fairnn.Set{
 		fairnn.SetFromSlice([]uint32{1, 2, 3, 4, 5}),
 		fairnn.SetFromSlice([]uint32{1, 2, 3, 4, 6}),
 	}
 	weight := func(sim float64) float64 { return sim * sim }
-	w, err := fairnn.NewSetWeighted(users, 0.5, weight, 1, fairnn.IndependentOptions{}, fairnn.Config{Seed: 3})
+	w, err := fairnn.NewSet(users, fairnn.Radius(0.5), fairnn.Algorithm(fairnn.Weighted), fairnn.WithWeight(weight, 1), fairnn.WithSeed(3))
 	if err != nil {
 		panic(err)
 	}
 	id, ok := w.Sample(users[0], nil)
-	fmt.Println(ok, fairnn.Jaccard(users[0], w.Point(id)) >= 0.5)
+	fmt.Println(ok, fairnn.Jaccard(users[0], users[id]) >= 0.5)
 	// Output: true true
 }
 
@@ -72,12 +72,12 @@ func ExampleQueryStats() {
 		fairnn.SetFromSlice([]uint32{1, 2, 3, 4, 6}),
 		fairnn.SetFromSlice([]uint32{50, 51, 52, 53, 54}),
 	}
-	std, err := fairnn.NewSetStandard(users, 0.5, fairnn.Config{Seed: 9})
+	s, err := fairnn.NewSet(users, fairnn.Radius(0.5), fairnn.Algorithm(fairnn.Standard), fairnn.WithSeed(9))
 	if err != nil {
 		panic(err)
 	}
 	var st fairnn.QueryStats
-	_, _ = std.NaiveFairSample(users[0], &st)
+	_, _ = s.(*fairnn.SetStandard).NaiveFairSample(users[0], &st)
 	fmt.Println(st.Found, st.PointsInspected > 0, st.ScoreEvals > 0)
 	// Output: true true true
 }

@@ -27,10 +27,11 @@ func main() {
 	users := dataset.Generate(cfg)
 
 	radii := []float64{0.5, 0.35, 0.25, 0.15}
-	m, err := fairnn.NewSetMultiRadius(users, radii, fairnn.IndependentOptions{}, fairnn.Config{Seed: 99})
+	built, err := fairnn.NewSet(users, fairnn.Algorithm(fairnn.MultiRadius), fairnn.WithRadii(radii...), fairnn.WithSeed(99))
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := built.(*fairnn.SetMultiRadius)
 
 	// Probe a few users: the chosen radius adapts to their neighborhood
 	// density, and sampling stays uniform within it.
@@ -38,22 +39,21 @@ func main() {
 	if len(queries) == 0 {
 		log.Fatal("no dense users found")
 	}
-	// Also probe a sparse user: the loosest radius that is non-empty wins.
-	exact := fairnn.NewSetExact(users, 0, 1)
+	// Also probe a sparse user, one with no neighbor at Jaccard ≥ 0.35:
+	// the tightest non-empty radius below that wins.
 	sparse := -1
 	for u := range users {
-		n015 := 0
+		near35 := 0
 		for v := range users {
 			if v != u && fairnn.Jaccard(users[u], users[v]) >= 0.35 {
-				n015++
+				near35++
 			}
 		}
-		if n015 == 0 {
+		if near35 == 0 {
 			sparse = u
 			break
 		}
 	}
-	_ = exact
 
 	probes := append([]int{}, queries...)
 	if sparse >= 0 {

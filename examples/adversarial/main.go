@@ -32,16 +32,16 @@ func main() {
 	const r = 0.9
 	const cr = 0.5
 	const builds = 400
-	cfg := fairnn.Config{FullMinHash: true}
 
 	counts := map[int32]int{}
 	total := 0
 	for b := 0; b < builds; b++ {
-		cfg.Seed = uint64(b + 1)
-		std, err := fairnn.NewSetStandard(inst.Points, r, cfg)
+		s, err := fairnn.NewSet(inst.Points, fairnn.Radius(r), fairnn.Algorithm(fairnn.Standard),
+			fairnn.WithFullMinHash(), fairnn.WithSeed(uint64(b+1)))
 		if err != nil {
 			log.Fatal(err)
 		}
+		std := s.(*fairnn.SetStandard)
 		for rep := 0; rep < 8; rep++ {
 			if id, ok := std.ApproxFairSample(inst.Query, cr, nil); ok {
 				counts[id]++

@@ -24,7 +24,7 @@ func batchFixtureSets() []fairnn.Set {
 // (distance 0) always succeed.
 func TestSampleBatch(t *testing.T) {
 	sets := batchFixtureSets()
-	d, err := fairnn.NewSetIndependent(sets, 0.3, fairnn.IndependentOptions{}, fairnn.Config{Seed: 5})
+	d, err := fairnn.NewSet(sets, fairnn.Radius(0.3), fairnn.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSampleBatch(t *testing.T) {
 			if !r.OK {
 				t.Fatalf("workers=%d: self-query %d failed", workers, i)
 			}
-			if sim := fairnn.Jaccard(sets[i], d.Point(r.ID)); sim < 0.3 {
+			if sim := fairnn.Jaccard(sets[i], sets[r.ID]); sim < 0.3 {
 				t.Fatalf("workers=%d: query %d returned far point (J=%v)", workers, i, sim)
 			}
 		}
@@ -48,7 +48,7 @@ func TestSampleBatch(t *testing.T) {
 // structure.
 func TestSampleKBatch(t *testing.T) {
 	sets := batchFixtureSets()
-	d, err := fairnn.NewSetIndependent(sets, 0.3, fairnn.IndependentOptions{}, fairnn.Config{Seed: 6})
+	d, err := fairnn.NewSet(sets, fairnn.Radius(0.3), fairnn.WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSampleKBatch(t *testing.T) {
 			t.Fatalf("query %d returned no samples", i)
 		}
 		for _, id := range ids {
-			if sim := fairnn.Jaccard(queries[i], d.Point(id)); sim < 0.3 {
+			if sim := fairnn.Jaccard(queries[i], sets[id]); sim < 0.3 {
 				t.Fatalf("query %d sampled far point (J=%v)", i, sim)
 			}
 		}

@@ -3,10 +3,7 @@ package fairnn
 import (
 	"fairnn/internal/core"
 	"fairnn/internal/fault"
-	"fairnn/internal/lsh"
-	"fairnn/internal/set"
 	"fairnn/internal/shard"
-	"fairnn/internal/vector"
 )
 
 // This file is the sharding surface of the façade: the Sharded sampler
@@ -15,9 +12,9 @@ import (
 // uniformity-preserving two-stage draw — shard chosen with probability
 // proportional to its per-query near-count estimate, estimate error
 // corrected by the same rejection step the paper uses to sample uniformly
-// from a union of buckets. Construct through NewSet/NewVec with
-// WithShards (optionally WithPartitioner), or the explicit constructors
-// below.
+// from a union of buckets. NewSet/NewVec build it with WithShards
+// (optionally WithPartitioner and the resilience options) by calling
+// shard.BuildConfig; this file holds the types and helpers they expose.
 
 // Sharded is a fair sampler over a point set partitioned across S shards.
 // It satisfies the full Sampler contract: every Sample is exactly uniform
@@ -120,45 +117,3 @@ func NewFaultInjector(shards int, seed uint64, specs ...FaultSpec) *FaultInjecto
 
 // FaultAlways is a rate that fires on every matching call.
 const FaultAlways = fault.Always
-
-// NewSetSharded partitions the sets across shards and indexes each shard
-// for independent uniform r-near neighbor sampling (the sharded form of
-// NewSetIndependent; part == nil defaults to round-robin). LSH parameters
-// are chosen per shard from its point count; λ and the Σ budget are
-// resolved once globally so the acceptance test is identical across
-// shards — the uniformity of the union draw depends on it. shards == 1
-// reproduces NewSetIndependent bit for bit.
-func NewSetSharded(sets []Set, radius float64, shards int, part Partitioner, opts IndependentOptions, cfg Config) (*Sharded[Set], error) {
-	return newSetShardedConfig(sets, radius, opts, cfg, shard.Config{Shards: shards, Partitioner: part})
-}
-
-// newSetShardedConfig is the full-knob sharded set constructor the
-// builder delegates to (resilience policy, fault injector).
-func newSetShardedConfig(sets []Set, radius float64, opts IndependentOptions, cfg Config, scfg shard.Config) (*Sharded[Set], error) {
-	cfg = cfg.withDefaults()
-	opts.Memo = memoOr(opts.Memo, cfg.Memo)
-	scfg.Seed = cfg.Seed
-	paramsFor := func(n int) lsh.Params { return cfg.paramsAt(n, radius) }
-	return shard.BuildConfig[set.Set](core.Jaccard(), cfg.family(), paramsFor, sets, radius, opts, scfg)
-}
-
-// NewVecSharded partitions unit vectors across shards for independent
-// uniform sampling from {p : ⟨p, q⟩ ≥ alpha} (the sharded form of
-// NewVecSamplerIndependent; part == nil defaults to round-robin).
-// shards == 1 reproduces NewVecSamplerIndependent bit for bit.
-func NewVecSharded(points []Vec, alpha float64, shards int, part Partitioner, opts IndependentOptions, cfg VecConfig) (*Sharded[Vec], error) {
-	return newVecShardedConfig(points, alpha, opts, cfg, shard.Config{Shards: shards, Partitioner: part})
-}
-
-// newVecShardedConfig is the full-knob sharded vector constructor the
-// builder delegates to (resilience policy, fault injector).
-func newVecShardedConfig(points []Vec, alpha float64, opts IndependentOptions, cfg VecConfig, scfg shard.Config) (*Sharded[Vec], error) {
-	if cfg.Dim == 0 && len(points) > 0 {
-		cfg.Dim = len(points[0])
-	}
-	cfg = cfg.withDefaults()
-	opts.Memo = memoOr(opts.Memo, cfg.Memo)
-	scfg.Seed = cfg.Seed
-	paramsFor := func(n int) lsh.Params { return cfg.paramsAt(n, alpha) }
-	return shard.BuildConfig[vector.Vec](core.InnerProduct(), cfg.family(), paramsFor, points, alpha, opts, scfg)
-}

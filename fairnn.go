@@ -51,10 +51,16 @@
 //	)
 //
 // Option validation returns typed errors (ErrBadRadius, ErrNoPoints,
-// ErrDimMismatch, ErrBadOption) matched with errors.Is. The legacy
-// constructors (NewSetSampler, NewSetIndependent, ...) remain fully
-// supported — the builder delegates to them, so a builder-made sampler
-// produces bit-identical same-seed sample streams to its legacy twin.
+// ErrDimMismatch, ErrBadOption) matched with errors.Is. The returned
+// Sampler is the structure itself, so methods that belong to one
+// structure are reached by type assertion:
+//
+//	s, err := fairnn.NewSet(nil, fairnn.Radius(0.5),
+//	    fairnn.Algorithm(fairnn.Dynamic), fairnn.WithParams(5, 12))
+//	id, err := s.(*fairnn.SetDynamic).Insert(p)
+//
+// The same goes for SetSampler.Params, SetMultiRadius.SampleTightest or
+// SetStandard.ApproxFairSample.
 //
 // # Cancellation and streaming
 //
@@ -281,12 +287,11 @@
 //
 // Pooled per-query scratch is bounded. The memo tables backing the
 // rejection-loop caches come in two interchangeable flavors, selected by
-// MemoOptions (the Memo field of Config, VecConfig, IndependentOptions
-// and VecOptions): below MemoOptions.DenseThreshold indexed points
-// (default 2²⁰) each pooled querier carries dense epoch-stamped arrays —
-// the fastest lookups, at 8–16 bytes per indexed point — and above it a
-// compact open-addressing table sized to the query's live candidate set,
-// which is o(n) by construction. Operators can force either backend via
+// the WithMemo option's MemoOptions: below MemoOptions.DenseThreshold
+// indexed points (default 2²⁰) each pooled querier carries dense
+// epoch-stamped arrays — the fastest lookups, at 8–16 bytes per indexed
+// point — and above it a compact open-addressing table sized to the
+// query's live candidate set, which is o(n) by construction. Operators can force either backend via
 // MemoOptions.Backend (MemoDense / MemoCompact). Independently, each
 // index retains at most MemoOptions.MaxRetainedQueriers queriers across
 // checkouts and frees scratch past MemoOptions.ScratchBudget bytes on
@@ -364,17 +369,6 @@
 // The suite runs standalone (go run ./cmd/fairnnlint ./...) or through
 // go vet -vettool, and scripts/lint.sh wires both into CI. It is
 // standard-library only; the module stays dependency-free.
-//
-// Memo precedence gotcha: structures that take both a Config/VecConfig
-// and an IndependentOptions/VecOptions read the memo discipline from both
-// (opts.Memo wins over cfg.Memo). "Wins" is decided by comparison against
-// the MemoOptions zero value, so a zeroed opts.Memo does NOT override a
-// non-zero cfg.Memo — it defers to it. This is harmless (the zero value
-// is the default discipline) but means an explicit
-// "opts.Memo = MemoOptions{}" cannot reset a Config-level choice; set the
-// desired values explicitly instead. The options builder has the same
-// rule between WithMemo and the Memo field of
-// WithIndependentOptions/WithVecOptions.
 //
 // All structures are deterministic given their seed: a fixed sequence of
 // single-goroutine queries is reproducible, while concurrent queries are
@@ -454,127 +448,6 @@ const (
 	MemoDense   = core.MemoDense
 	MemoCompact = core.MemoCompact
 )
-
-// Config controls LSH parameter selection for the set-based structures.
-// The zero value reproduces the paper's experimental setup: 1-bit MinHash,
-// K chosen so that at most FarBudget points at similarity FarSim are
-// expected to collide, and L chosen for Recall at the query radius.
-type Config struct {
-	// K and L override automatic parameter selection when both are > 0.
-	K, L int
-	// FullMinHash uses full 64-bit MinHash bucket keys instead of the
-	// 1-bit scheme of Li and König. Full keys expose the clustered-
-	// neighborhood correlations studied in Section 6.2.
-	FullMinHash bool
-	// FarSim is the "far" similarity for ChooseK (default 0.1).
-	FarSim float64
-	// FarBudget is the expected number of far collisions (default 5).
-	FarBudget float64
-	// Recall is the target recall at the radius for ChooseL (default 0.99).
-	Recall float64
-	// Seed drives all randomness (default 1).
-	Seed uint64
-	// Memo is the per-query memory discipline (memo backend threshold,
-	// querier retention cap, scratch budget). For structures that also
-	// take an IndependentOptions/VecOptions, an explicitly set
-	// opts.Memo wins over this field.
-	Memo MemoOptions
-}
-
-func (c Config) family() lsh.Family[set.Set] {
-	if c.FullMinHash {
-		return lsh.MinHash{}
-	}
-	return lsh.OneBitMinHash{}
-}
-
-// withDefaults resolves the zero-value fields to their documented
-// defaults — the one place the set-side defaults live (NewSetMultiRadius
-// reuses the resolved copy for its per-radius parameter choice).
-func (c Config) withDefaults() Config {
-	c.FarSim = orDefault(c.FarSim, 0.1)
-	c.FarBudget = orDefault(c.FarBudget, 5)
-	c.Recall = orDefault(c.Recall, 0.99)
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// paramsAt picks (K, L) for one radius: the explicit override when both
-// are set, automatic ChooseK/ChooseL otherwise. c must already carry its
-// defaults.
-func (c Config) paramsAt(n int, radius float64) lsh.Params {
-	if c.K > 0 && c.L > 0 {
-		return lsh.Params{K: c.K, L: c.L}
-	}
-	fam := c.family()
-	k := lsh.ChooseK[set.Set](fam, n, c.FarSim, c.FarBudget)
-	l := lsh.ChooseL[set.Set](fam, k, radius, c.Recall)
-	return lsh.Params{K: k, L: l}
-}
-
-func (c Config) resolve(n int, radius float64) (lsh.Family[set.Set], lsh.Params, uint64) {
-	c = c.withDefaults()
-	return c.family(), c.paramsAt(n, radius), c.Seed
-}
-
-// orDefault substitutes def for an unset (≤ 0) numeric config field — the
-// one shared default-resolution helper behind Config.withDefaults and
-// VecConfig.withDefaults.
-func orDefault(v, def float64) float64 {
-	if v <= 0 {
-		return def
-	}
-	return v
-}
-
-// memoOr resolves the memo precedence: an explicitly set opts-level memo
-// wins; otherwise the config-level default applies. Note the zero-value
-// gotcha this implies: opts.Memo counts as "explicitly set" only when it
-// differs from the MemoOptions zero value, so passing a zeroed
-// MemoOptions in opts defers to the Config-level Memo rather than
-// overriding it (the two have identical semantics anyway — the zero
-// value is the default discipline).
-func memoOr(opts, cfg MemoOptions) MemoOptions {
-	if opts == (MemoOptions{}) {
-		return cfg
-	}
-	return opts
-}
-
-// NewSetSampler indexes the sets for uniform r-near neighbor sampling under
-// Jaccard similarity (radius is the minimum similarity r).
-func NewSetSampler(sets []Set, radius float64, cfg Config) (*SetSampler, error) {
-	fam, params, seed := cfg.resolve(len(sets), radius)
-	return core.NewSamplerMemo[set.Set](core.Jaccard(), fam, params, sets, radius, cfg.Memo, seed)
-}
-
-// NewSetIndependent indexes the sets for independent uniform r-near
-// neighbor sampling (the r-NNIS problem) under Jaccard similarity.
-func NewSetIndependent(sets []Set, radius float64, opts IndependentOptions, cfg Config) (*SetIndependent, error) {
-	fam, params, seed := cfg.resolve(len(sets), radius)
-	opts.Memo = memoOr(opts.Memo, cfg.Memo)
-	return core.NewIndependent[set.Set](core.Jaccard(), fam, params, sets, radius, opts, seed)
-}
-
-// NewSetStandard indexes the sets with the classic biased LSH structure.
-func NewSetStandard(sets []Set, radius float64, cfg Config) (*SetStandard, error) {
-	fam, params, seed := cfg.resolve(len(sets), radius)
-	return core.NewStandard[set.Set](core.Jaccard(), fam, params, sets, radius, seed)
-}
-
-// NewSetExact builds the linear-scan ground truth (radius is the minimum
-// Jaccard similarity).
-func NewSetExact(sets []Set, radius float64, seed uint64) *SetExact {
-	return core.NewExact[set.Set](core.Jaccard(), sets, radius, seed)
-}
-
-// NewVecIndependent indexes unit vectors for independent uniform sampling
-// from {p : ⟨p, q⟩ ≥ alpha}, with far threshold beta (Section 5).
-func NewVecIndependent(points []Vec, alpha, beta float64, opts VecOptions, seed uint64) (*VecIndependent, error) {
-	return core.NewFilterIndependent(points, alpha, beta, opts, seed)
-}
 
 // Jaccard returns the Jaccard similarity of two sets.
 func Jaccard(a, b Set) float64 { return set.Jaccard(a, b) }

@@ -33,10 +33,11 @@ func smallSets() ([]fairnn.Set, fairnn.Set) {
 
 func TestFacadeSetSampler(t *testing.T) {
 	sets, q := smallSets()
-	s, err := fairnn.NewSetSampler(sets, 0.6, fairnn.Config{Seed: 3})
+	built, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.NNS), fairnn.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := built.(*fairnn.SetSampler)
 	id, ok := s.Sample(q, nil)
 	if !ok {
 		t.Fatal("no sample")
@@ -51,7 +52,7 @@ func TestFacadeSetSampler(t *testing.T) {
 
 func TestFacadeSetIndependentUniform(t *testing.T) {
 	sets, q := smallSets()
-	d, err := fairnn.NewSetIndependent(sets, 0.6, fairnn.IndependentOptions{}, fairnn.Config{Seed: 5})
+	d, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +78,19 @@ func TestFacadeSetIndependentUniform(t *testing.T) {
 
 func TestFacadeStandardAndExactAgreeOnBall(t *testing.T) {
 	sets, q := smallSets()
-	std, err := fairnn.NewSetStandard(sets, 0.6, fairnn.Config{Seed: 7})
+	std, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Standard), fairnn.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := fairnn.NewSetExact(sets, 0.6, 7)
-	ball := exact.Ball(q, nil)
+	exact, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Exact), fairnn.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ball := exact.(*fairnn.SetExact).Ball(q, nil)
 	if len(ball) != 6 {
 		t.Fatalf("exact ball size %d, want 6", len(ball))
 	}
-	recalled := std.RecalledBall(q, nil)
+	recalled := std.(*fairnn.SetStandard).RecalledBall(q, nil)
 	if len(recalled) < 5 {
 		t.Errorf("standard structure recalled only %d of 6", len(recalled))
 	}
@@ -94,11 +98,11 @@ func TestFacadeStandardAndExactAgreeOnBall(t *testing.T) {
 
 func TestFacadeManualParamsRespected(t *testing.T) {
 	sets, _ := smallSets()
-	s, err := fairnn.NewSetSampler(sets, 0.6, fairnn.Config{K: 4, L: 7, Seed: 9})
+	s, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.NNS), fairnn.WithParams(4, 7), fairnn.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := s.Params(); p.K != 4 || p.L != 7 {
+	if p := s.(*fairnn.SetSampler).Params(); p.K != 4 || p.L != 7 {
 		t.Fatalf("params %+v, want K=4 L=7", p)
 	}
 }
@@ -107,12 +111,12 @@ func TestFacadeVecIndependent(t *testing.T) {
 	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: 250, Dim: 24, Alpha: 0.8, Beta: 0.5, BallSize: 8, MidSize: 20, Seed: 11,
 	})
-	fi, err := fairnn.NewVecIndependent(w.Points, 0.8, 0.5, fairnn.VecOptions{}, 13)
+	fi, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.5), fairnn.WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range fi.SampleK(w.Query, 50, nil) {
-		if ip := fairnn.Dot(w.Query, fi.Point(id)); ip < 0.8 {
+		if ip := fairnn.Dot(w.Query, w.Points[id]); ip < 0.8 {
 			t.Fatalf("inner product %v below alpha", ip)
 		}
 	}
@@ -122,7 +126,7 @@ func TestFacadeVecSamplerSimHash(t *testing.T) {
 	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: 250, Dim: 24, Alpha: 0.8, Beta: 0.5, BallSize: 8, MidSize: 20, Seed: 17,
 	})
-	s, err := fairnn.NewVecSampler(w.Points, 0.8, fairnn.VecConfig{Seed: 19})
+	s, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.NNS), fairnn.WithSeed(19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +134,7 @@ func TestFacadeVecSamplerSimHash(t *testing.T) {
 	if !ok {
 		t.Fatal("SimHash sampler found nothing in a planted ball of 8")
 	}
-	if ip := fairnn.Dot(w.Query, s.Point(id)); ip < 0.8 {
+	if ip := fairnn.Dot(w.Query, s.(*fairnn.VecSampler).Point(id)); ip < 0.8 {
 		t.Fatalf("inner product %v below alpha", ip)
 	}
 }
@@ -139,8 +143,7 @@ func TestFacadeVecSamplerIndependentCrossPolytope(t *testing.T) {
 	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: 250, Dim: 24, Alpha: 0.8, Beta: 0.5, BallSize: 8, MidSize: 20, Seed: 23,
 	})
-	d, err := fairnn.NewVecSamplerIndependent(w.Points, 0.8, fairnn.IndependentOptions{},
-		fairnn.VecConfig{CrossPolytope: true, Seed: 29})
+	d, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.WithCrossPolytope(), fairnn.WithSeed(29))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestFacadeVecSamplerIndependentCrossPolytope(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		if id, ok := d.Sample(w.Query, nil); ok {
 			found++
-			if ip := fairnn.Dot(w.Query, d.Point(id)); ip < 0.8 {
+			if ip := fairnn.Dot(w.Query, d.(*fairnn.VecSamplerIndependent).Point(id)); ip < 0.8 {
 				t.Fatalf("inner product %v below alpha", ip)
 			}
 		}
@@ -162,7 +165,7 @@ func TestFacadeWeighted(t *testing.T) {
 	sets, q := smallSets()
 	// Quadratic preference for higher similarity.
 	weight := func(sim float64) float64 { return sim * sim }
-	wt, err := fairnn.NewSetWeighted(sets, 0.6, weight, 1, fairnn.IndependentOptions{}, fairnn.Config{Seed: 31})
+	wt, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Weighted), fairnn.WithWeight(weight, 1), fairnn.WithSeed(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +190,11 @@ func TestFacadeWeighted(t *testing.T) {
 
 func TestFacadeMultiRadius(t *testing.T) {
 	sets, q := smallSets()
-	m, err := fairnn.NewSetMultiRadius(sets, []float64{0.3, 0.6, 0.95}, fairnn.IndependentOptions{}, fairnn.Config{Seed: 37})
+	built, err := fairnn.NewSet(sets, fairnn.Algorithm(fairnn.MultiRadius), fairnn.WithRadii(0.3, 0.6, 0.95), fairnn.WithSeed(37))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := built.(*fairnn.SetMultiRadius)
 	id, r, ok := m.SampleTightest(q, nil)
 	if !ok {
 		t.Fatal("no sample")
@@ -217,10 +221,16 @@ func TestFacadeHelpers(t *testing.T) {
 	}
 }
 
+// TestFacadeDynamic starts a dynamic sampler empty: (K, L) = (5, 12) is
+// what automatic selection picks for 64 expected points at radius 0.6.
 func TestFacadeDynamic(t *testing.T) {
-	d, err := fairnn.NewSetDynamic(0.6, 64, fairnn.Config{Seed: 41})
+	built, err := fairnn.NewSet(nil, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Dynamic), fairnn.WithParams(5, 12), fairnn.WithSeed(41))
 	if err != nil {
 		t.Fatal(err)
+	}
+	d := built.(*fairnn.SetDynamic)
+	if d.Size() != 0 {
+		t.Fatalf("empty start has Size %d", d.Size())
 	}
 	sets, q := smallSets()
 	ids := make([]int32, len(sets))
@@ -250,10 +260,10 @@ func TestFacadeDynamic(t *testing.T) {
 }
 
 // TestFacadeSampleKInto exercises the zero-allocation bulk variant
-// through the façade type aliases on every sampler that offers it.
+// through the Sampler interface on the Section 3, 4 and 5 structures.
 func TestFacadeSampleKInto(t *testing.T) {
 	sets, q := smallSets()
-	d, err := fairnn.NewSetIndependent(sets, 0.6, fairnn.IndependentOptions{}, fairnn.Config{Seed: 5})
+	d, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +273,12 @@ func TestFacadeSampleKInto(t *testing.T) {
 		t.Fatal("SetIndependent.SampleKInto found nothing")
 	}
 	for _, id := range dst {
-		if sim := fairnn.Jaccard(q, d.Point(id)); sim < 0.6 {
+		if sim := fairnn.Jaccard(q, sets[id]); sim < 0.6 {
 			t.Fatalf("similarity %v below radius", sim)
 		}
 	}
 
-	s, err := fairnn.NewSetSampler(sets, 0.6, fairnn.Config{Seed: 5})
+	s, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.NNS), fairnn.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +289,7 @@ func TestFacadeSampleKInto(t *testing.T) {
 	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: 200, Dim: 16, Alpha: 0.8, Beta: 0.5, BallSize: 8, MidSize: 20, Seed: 11,
 	})
-	fi, err := fairnn.NewVecIndependent(w.Points, 0.8, 0.5, fairnn.VecOptions{}, 13)
+	fi, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.5), fairnn.WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +298,7 @@ func TestFacadeSampleKInto(t *testing.T) {
 		t.Fatal("VecIndependent.SampleKInto found nothing")
 	}
 	for _, id := range vdst {
-		if ip := fairnn.Dot(w.Query, fi.Point(id)); ip < 0.8 {
+		if ip := fairnn.Dot(w.Query, w.Points[id]); ip < 0.8 {
 			t.Fatalf("inner product %v below alpha", ip)
 		}
 	}

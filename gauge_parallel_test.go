@@ -1,15 +1,14 @@
-// The multi-core throughput gauge behind scripts/bench.sh: it drives the
-// Section 5 vector sampler from W concurrent workers at GOMAXPROCS = W
-// for each point of the sweep and reports aggregate samples/sec as
-// machine-parseable PARALLEL lines that the bench script folds into
-// BENCH_PR7.json. The scaling curve is the end-to-end proof that the
-// query path has no hidden serialization: queriers come from the pool,
-// per-query RNG streams split off an atomic counter, and the kernels are
-// read-only, so throughput should track core count on multi-core hosts
-// (on a single-core host the curve is honestly flat).
+// The multi-core throughput gauge: it drives the Section 5 vector sampler
+// from W concurrent workers at GOMAXPROCS = W for each point of the sweep
+// and reports aggregate samples/sec as machine-parseable PARALLEL lines
+// (BENCH_PR7.json records one sweep). The scaling curve is the end-to-end
+// proof that the query path has no hidden serialization: queriers come
+// from the pool, per-query RNG streams split off an atomic counter, and
+// the kernels are read-only, so throughput should track core count on
+// multi-core hosts (on a single-core host the curve is honestly flat).
 //
 // Knobs (env): FAIRNN_PAR_N (indexed points, default 2000 so the regular
-// test run stays light; bench.sh sets more), FAIRNN_PAR_DRAWS (SampleK
+// test run stays light; raise it to measure), FAIRNN_PAR_DRAWS (SampleK
 // calls per worker, default 50) and FAIRNN_PAR_SWEEP (space-separated
 // GOMAXPROCS values, default "1 2 4").
 
@@ -67,7 +66,7 @@ func TestParallelThroughputGauge(t *testing.T) {
 		N: n, Dim: 64, Alpha: 0.8, Beta: 0.5,
 		BallSize: max(20, n/100), MidSize: max(40, n/50), Seed: 977,
 	})
-	fi, err := fairnn.NewVecIndependent(w.Points, 0.8, 0.5, fairnn.VecOptions{}, 983)
+	fi, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.5), fairnn.WithSeed(983))
 	if err != nil {
 		t.Fatal(err)
 	}

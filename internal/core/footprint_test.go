@@ -1,13 +1,13 @@
 package core
 
-// The pooled-scratch footprint gauge behind scripts/bench.sh: it measures
-// the bytes an index pins between queries after a wide concurrent burst,
-// dense vs compact memo backend, and prints machine-parseable FOOTPRINT
-// lines that the bench script folds into BENCH_PR3.json. It doubles as a
-// regression test for the PR 3 acceptance gate (compact ≤ 1/10 dense).
+// The pooled-scratch footprint gauge: it measures the bytes an index pins
+// between queries after a wide concurrent burst, dense vs compact memo
+// backend, and prints machine-parseable FOOTPRINT lines (BENCH_PR3.json
+// records a run at n = 10⁶). It doubles as a regression test for the
+// compact backend's gate (compact ≤ 1/10 dense).
 //
 // Knobs (env): FAIRNN_FOOTPRINT_N (indexed points, default 65536 so the
-// regular test run stays light; bench.sh sets 1000000) and
+// regular test run stays light; set 1000000 to measure) and
 // FAIRNN_FOOTPRINT_QUERIERS (burst width, default 64).
 
 import (

@@ -3,7 +3,7 @@ package core
 // White-box microbenchmark for the Section 4 segment report — the inner
 // operation of every rejection round — comparing the legacy per-bucket
 // range-report path against the merged candidate cursor. Reported in
-// BENCH_PR2.json via scripts/bench.sh.
+// BENCH_PR2.json.
 
 import (
 	"testing"

@@ -4,8 +4,9 @@
 // synthetic user–item set collections matched to the published summary
 // statistics (user count, universe size, mean/σ of set sizes) and to the
 // neighborhood structure the experiments need (50 "interesting" queries
-// with at least 40 neighbors at Jaccard ≥ 0.2). See DESIGN.md §3 for the
-// substitution argument.
+// with at least 40 neighbors at Jaccard ≥ 0.2). The substitution holds
+// because the experiments measure bias and cost as functions of that
+// neighborhood structure, not of which items the sets contain.
 //
 // The package also constructs the Section 6.2 adversarial instance exactly
 // as specified, plus vector workloads (planted balls and low-rank

@@ -298,8 +298,8 @@ func quantileMicros(h *obs.Histogram, q float64) float64 {
 }
 
 // Render writes the aggregate table, the health snapshot, and the
-// machine-parseable SERVE / SERVE_HIST lines scripts/bench.sh folds
-// into the bench history (BENCH_PR10.json).
+// machine-parseable SERVE / SERVE_HIST lines; scripts/serve_smoke.sh
+// folds the SERVE summary into its JSON snapshot.
 func (r *ServeResult) Render(w io.Writer) error {
 	title := fmt.Sprintf("serve: %d clients x %d queries over %d loopback servers, n=%d (kill=%v)",
 		r.Config.Clients, r.Config.QueriesPerClient, r.Config.Shards, r.Config.N, r.Config.Kill)

@@ -1,14 +1,13 @@
 package shard
 
-// The shard-sweep gauge behind scripts/bench.sh: it builds the sharded
-// sampler at gauge scale for each shard count in the sweep and reports
-// build time, single-draw latency and bulk-draw latency as
-// machine-parseable SHARDSWEEP lines that the bench script folds into
-// BENCH_PR5.json. It doubles as an end-to-end smoke for the sharded path
-// at a realistic size.
+// The shard-sweep gauge: it builds the sharded sampler at gauge scale for
+// each shard count in the sweep and reports build time, single-draw
+// latency and bulk-draw latency as machine-parseable SHARDSWEEP lines
+// (BENCH_PR5.json records a sweep at n = 10⁶). It doubles as an
+// end-to-end smoke for the sharded path at a realistic size.
 //
 // Knobs (env): FAIRNN_SHARD_N (indexed points, default 30000 so the
-// regular test run stays light; bench.sh sets 1000000) and
+// regular test run stays light; set 1000000 to measure) and
 // FAIRNN_SHARD_SWEEP (space-separated shard counts, default "1 2 4 8").
 
 import (

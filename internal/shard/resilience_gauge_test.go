@@ -1,18 +1,17 @@
 package shard
 
-// The resilience gauge behind scripts/bench.sh: it measures query
-// latency (p50/p90/p99/p999 over many single draws, read from the
-// shared obs latency histogram) on an 8-shard sampler in two states —
-// all shards healthy, and 1 of 8 shards force-failed with degraded mode
-// absorbing the loss — and reports machine-parseable RESILIENCE lines
-// the bench script folds into the bench history (BENCH_PR10.json). The
-// faulted numbers quantify the price of losing a failure domain: the
+// The resilience gauge: it measures query latency (p50/p90/p99/p999
+// over many single draws, read from the shared obs latency histogram) on
+// an 8-shard sampler in two states — all shards healthy, and 1 of 8
+// shards force-failed with degraded mode absorbing the loss — and
+// reports machine-parseable RESILIENCE lines (BENCH_PR10.json records a
+// run). The faulted numbers quantify the price of losing a failure domain: the
 // first query pays the retry budget, steady state pays only the health
 // registry's fail-fast gate plus periodic re-admission probes.
 //
-// Knobs (env): FAIRNN_RES_N (indexed points, default 30000; bench.sh
-// sets a larger scale) and FAIRNN_RES_REPS (timed draws per state,
-// default 2000).
+// Knobs (env): FAIRNN_RES_N (indexed points, default 30000; raise it to
+// measure at scale) and FAIRNN_RES_REPS (timed draws per state, default
+// 2000).
 
 import (
 	"context"

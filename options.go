@@ -5,22 +5,26 @@ import (
 	"fmt"
 	"time"
 
+	"fairnn/internal/core"
 	"fairnn/internal/filter"
+	"fairnn/internal/lsh"
+	"fairnn/internal/set"
 	"fairnn/internal/shard"
+	"fairnn/internal/vector"
 )
 
-// This file is the functional-options construction surface: one
-// constructor shape per point type (NewSet, NewVec) replacing the
-// Config/VecConfig/opts triple-threading of the legacy constructors. The
-// legacy constructors remain supported and the builder delegates to them,
-// so a builder-made sampler produces bit-identical same-seed sample
-// streams to its legacy twin.
+// This file is the construction surface: one functional-options builder
+// per point type (NewSet, NewVec), which validates the options and calls
+// the internal/core constructors (or the shard builder) directly. Every
+// LSH construction resolves its (K, L) through the one resolver,
+// lshParams.
 
 // Typed construction errors. Option validation wraps these (use
 // errors.Is), with the offending value in the message.
 var (
-	// ErrNoPoints means the point slice was empty (index at least one
-	// point, or use NewSetDynamic to start empty).
+	// ErrNoPoints means the point slice was empty. Index at least one
+	// point; only Algorithm(Dynamic) starts empty, and then needs
+	// WithParams because there is no point count to tune (K, L) from.
 	ErrNoPoints = errors.New("fairnn: empty point set")
 	// ErrBadRadius means the radius (or alpha/beta threshold, or radius
 	// grid) was missing or outside its valid range.
@@ -63,7 +67,9 @@ const (
 	// WithRadii grid (no single radius needed). Sets only.
 	MultiRadius
 	// Dynamic is the insert/delete-capable sampler, pre-loaded with the
-	// given points. Sets only.
+	// given points; with none it starts empty and needs WithParams. Insert
+	// and Delete are reached by asserting the result to *SetDynamic. Sets
+	// only.
 	Dynamic
 	// Filter is the Section 5 filter-based α-NNIS structure in nearly
 	// linear space (requires WithBeta). Vectors only.
@@ -149,8 +155,9 @@ func Algorithm(a Algo) Option {
 	return func(b *builder) { b.algo = a }
 }
 
-// WithSeed sets the seed driving all randomness (default 1). Same seed,
-// same options, same points → bit-identical structure and sample streams.
+// WithSeed sets the seed driving all randomness (default 1; 0 also means
+// 1). Same seed, same options, same points → bit-identical structure and
+// sample streams.
 func WithSeed(seed uint64) Option {
 	return func(b *builder) { b.seed = seed }
 }
@@ -168,9 +175,7 @@ func WithParams(k, l int) Option {
 }
 
 // WithMemo sets the per-query memory discipline (memo backend threshold,
-// querier retention cap, scratch budget). A Memo set inside
-// WithIndependentOptions/WithVecOptions wins over this, mirroring the
-// legacy opts-over-Config precedence.
+// querier retention cap, scratch budget); it is the only memo knob.
 func WithMemo(m MemoOptions) Option {
 	return func(b *builder) { b.memo = m }
 }
@@ -402,18 +407,43 @@ func WithTraceSampling(everyN int) Option {
 }
 
 // WithIndependentOptions tunes the Section 4 constructions (NNIS,
-// Weighted, MultiRadius); the zero value follows the paper. An explicitly
-// set Memo field wins over WithMemo. Any other algorithm rejects it with
-// ErrBadOption.
+// Weighted, MultiRadius); the zero value follows the paper. Its Obs and
+// Memo fields must stay zero: Observe and WithMemo are their knobs. Any
+// other algorithm rejects it with ErrBadOption.
 func WithIndependentOptions(o IndependentOptions) Option {
-	return func(b *builder) { b.iopts, b.ioptsSet = o, true }
+	return func(b *builder) {
+		if err := ownKnobs("IndependentOptions", o.Obs, o.Memo); err != nil {
+			b.fail(err)
+			return
+		}
+		b.iopts, b.ioptsSet = o, true
+	}
 }
 
 // WithVecOptions tunes the Section 5 Filter construction; the zero value
-// follows the paper. An explicitly set Memo field wins over WithMemo.
-// Any other algorithm rejects it with ErrBadOption.
+// follows the paper. Its Obs and Memo fields must stay zero: Observe and
+// WithMemo are their knobs. Any other algorithm rejects it with
+// ErrBadOption.
 func WithVecOptions(o VecOptions) Option {
-	return func(b *builder) { b.vopts, b.voptsSet = o, true }
+	return func(b *builder) {
+		if err := ownKnobs("VecOptions", o.Obs, o.Memo); err != nil {
+			b.fail(err)
+			return
+		}
+		b.vopts, b.voptsSet = o, true
+	}
+}
+
+// ownKnobs rejects the options-struct fields that have a builder option
+// of their own, so every setting has exactly one knob.
+func ownKnobs(name string, reg *Registry, memo MemoOptions) error {
+	if reg != nil {
+		return fmt.Errorf("%w: %s.Obs is set by Observe", ErrBadOption, name)
+	}
+	if memo != (MemoOptions{}) {
+		return fmt.Errorf("%w: %s.Memo is set by WithMemo", ErrBadOption, name)
+	}
+	return nil
 }
 
 // apply folds the options into a builder.
@@ -422,7 +452,32 @@ func apply(opts []Option) *builder {
 	for _, opt := range opts {
 		opt(b)
 	}
+	if b.seed == 0 {
+		b.seed = 1
+	}
 	return b
+}
+
+// lshParams is the one (K, L) resolver behind every LSH construction:
+// the WithParams override when given, otherwise K such that about
+// WithFarBudget (default 5) of n points at similarity farSim collide
+// with a query, and L for WithRecall (default 0.99) at the radius.
+func lshParams[P any](b *builder, fam lsh.Family[P], farSim float64) func(n int, radius float64) lsh.Params {
+	return func(n int, radius float64) lsh.Params {
+		if b.k > 0 {
+			return lsh.Params{K: b.k, L: b.l}
+		}
+		k := lsh.ChooseK(fam, n, farSim, orDefault(b.farBudget, 5))
+		return lsh.Params{K: k, L: lsh.ChooseL(fam, k, radius, orDefault(b.recall, 0.99))}
+	}
+}
+
+// orDefault substitutes def for an unset (≤ 0) tuning value.
+func orDefault(v, def float64) float64 {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
 // lshTuned reports whether any LSH parameter-selection option was
@@ -432,79 +487,63 @@ func (b *builder) lshTuned() bool {
 	return b.k > 0 || b.l > 0 || b.recall != 0 || b.farSim != 0 || b.farBudget != 0
 }
 
-// setConfig assembles the legacy Config the builder delegates to.
-func (b *builder) setConfig() Config {
-	return Config{
-		K: b.k, L: b.l,
-		FullMinHash: b.fullMin,
-		FarSim:      b.farSim,
-		FarBudget:   b.farBudget,
-		Recall:      b.recall,
-		Seed:        b.seed,
-		Memo:        b.memo,
-	}
-}
-
-// vecConfig assembles the legacy VecConfig the builder delegates to.
-func (b *builder) vecConfig() VecConfig {
-	return VecConfig{
-		K: b.k, L: b.l,
-		Dim:           b.dim,
-		FarSim:        b.farSim,
-		FarBudget:     b.farBudget,
-		Recall:        b.recall,
-		CrossPolytope: b.crossPoly,
-		Seed:          b.seed,
-		Memo:          b.memo,
-	}
-}
-
-// checkTelemetry rejects WithTraceSampling without its prerequisites:
-// the span tree follows the per-shard backend seam, so there is nothing
-// to trace without WithShards, and nowhere to publish without Observe.
-func (b *builder) checkTelemetry() error {
+// checkShards validates the shard-layer options of a build over n
+// points. Partitioning, resilience, fault injection and trace sampling
+// act on the per-shard seam, so without WithShards they would silently
+// do nothing; traces also need Observe's registry to publish to; and
+// sharding wraps the read-only Section 4 sampler only.
+func (b *builder) checkShards(n int) error {
 	if b.trcN > 0 && b.reg == nil {
 		return fmt.Errorf("%w: WithTraceSampling requires Observe (traces publish to the registry's trace ring)", ErrBadOption)
 	}
-	if b.trcN > 0 && !b.shardsSet {
-		return fmt.Errorf("%w: WithTraceSampling requires WithShards (spans follow the per-shard backend seam)", ErrBadOption)
+	if !b.shardsSet {
+		switch {
+		case b.part != nil:
+			return fmt.Errorf("%w: WithPartitioner requires WithShards", ErrBadOption)
+		case b.resilSet || b.inj != nil:
+			return fmt.Errorf("%w: shard resilience options (WithShardDeadline/WithShardRetry/WithShardBackoff/WithDegradedMode/WithShardProbeEvery/WithFaultInjection) require WithShards", ErrBadOption)
+		case b.trcN > 0:
+			return fmt.Errorf("%w: WithTraceSampling requires WithShards (spans follow the per-shard backend seam)", ErrBadOption)
+		}
+		return nil
+	}
+	if b.algo == Dynamic {
+		return fmt.Errorf("%w: WithShards(%d) with Algorithm(Dynamic)", ErrShardedDynamic, b.shards)
+	}
+	if b.algo != NNIS {
+		return fmt.Errorf("%w: sharding wraps the Section 4 sampler — WithShards requires Algorithm(NNIS), got %v", ErrBadOption, b.algo)
+	}
+	if b.shards > n {
+		return fmt.Errorf("%w: WithShards(%d) over %d points leaves shards empty", ErrBadOption, b.shards, n)
 	}
 	return nil
 }
 
-// needShardsForResilience rejects resilience/fault options on unsharded
-// builds — the policy governs per-shard failure domains, so without
-// WithShards it would silently do nothing.
-func (b *builder) needShardsForResilience() error {
-	if (b.resilSet || b.inj != nil) && !b.shardsSet {
-		return fmt.Errorf("%w: shard resilience options (WithShardDeadline/WithShardRetry/WithShardBackoff/WithDegradedMode/WithShardProbeEvery/WithFaultInjection) require WithShards", ErrBadOption)
+// independentOptions completes the Section 4 options with the memo
+// discipline and, on unsharded builds, the registry. A sharded build
+// carries the registry on shard.Config instead: the shard layer owns the
+// draw loop there, and an idle core-layer instrument family would be
+// noise in the exposition.
+func (b *builder) independentOptions() IndependentOptions {
+	o := b.iopts
+	o.Memo = b.memo
+	if !b.shardsSet {
+		o.Obs = b.reg
 	}
-	return nil
+	return o
 }
 
-// shardConfig assembles the shard-layer build config from the builder
-// (the seed is filled in by the sharded constructors from the resolved
-// Config/VecConfig).
+// shardConfig assembles the shard-layer build config from the builder.
 func (b *builder) shardConfig() shard.Config {
 	return shard.Config{
 		Shards:      b.shards,
 		Partitioner: b.part,
+		Seed:        b.seed,
 		Resilience:  b.resil,
 		Injector:    b.inj,
 		Obs:         b.reg,
 		TraceEveryN: b.trcN,
 	}
-}
-
-// needRadius validates the single-radius requirement for set algorithms.
-func (b *builder) needSetRadius() (float64, error) {
-	if !b.radiusSet {
-		return 0, fmt.Errorf("%w: Radius option is required", ErrBadRadius)
-	}
-	if b.radius <= 0 || b.radius > 1 {
-		return 0, fmt.Errorf("%w: Jaccard radius %v outside (0, 1]", ErrBadRadius, b.radius)
-	}
-	return b.radius, nil
 }
 
 // NewSet indexes item sets (Jaccard similarity) behind the Sampler
@@ -519,15 +558,18 @@ func (b *builder) needSetRadius() (float64, error) {
 // The default algorithm is NNIS (the Section 4 independent uniform
 // sampler). Option validation returns typed errors (ErrBadRadius,
 // ErrNoPoints, ErrBadOption) that callers match with errors.Is. The
-// builder delegates to the legacy constructors, so a builder-made sampler
-// is bit-identical (same seed, same options) to its legacy twin.
+// returned Sampler is the structure itself — *SetIndependent, *SetSampler,
+// *SetStandard, *SetExact, *SetWeighted, *SetMultiRadius, *SetDynamic, or
+// *Sharded[Set] with WithShards — so a type assertion reaches the methods
+// that belong to one structure, such as SetDynamic.Insert or
+// SetMultiRadius.SampleTightest.
 func NewSet(points []Set, opts ...Option) (Sampler[Set], error) {
 	b := apply(opts)
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("%w (use NewSetDynamic to start empty)", ErrNoPoints)
+	if len(points) == 0 && b.algo != Dynamic {
+		return nil, fmt.Errorf("%w (only Algorithm(Dynamic) starts empty)", ErrNoPoints)
 	}
 	if b.crossPoly || b.dim > 0 {
 		return nil, fmt.Errorf("%w: WithCrossPolytope/WithDim are vector options", ErrBadOption)
@@ -550,39 +592,18 @@ func NewSet(points []Set, opts ...Option) (Sampler[Set], error) {
 	if b.reg != nil && b.algo != NNIS && b.algo != Weighted && b.algo != MultiRadius {
 		return nil, fmt.Errorf("%w: Observe instruments the Section 4 draw loop — Algorithm(%v) has none", ErrBadOption, b.algo)
 	}
-	cfg := b.setConfig()
-	if b.part != nil && !b.shardsSet {
-		return nil, fmt.Errorf("%w: WithPartitioner requires WithShards", ErrBadOption)
-	}
-	if err := b.needShardsForResilience(); err != nil {
+	if err := b.checkShards(len(points)); err != nil {
 		return nil, err
 	}
-	if err := b.checkTelemetry(); err != nil {
-		return nil, err
+	if b.algo == Filter {
+		return nil, fmt.Errorf("%w: Algorithm(Filter) is vector-only (use NewVec)", ErrBadOption)
 	}
-	if b.shardsSet {
-		if b.algo == Dynamic {
-			return nil, fmt.Errorf("%w: WithShards(%d) with Algorithm(Dynamic)", ErrShardedDynamic, b.shards)
-		}
-		if b.algo != NNIS {
-			return nil, fmt.Errorf("%w: sharding wraps the Section 4 sampler — WithShards requires Algorithm(NNIS), got %v", ErrBadOption, b.algo)
-		}
-		r, err := b.needSetRadius()
-		if err != nil {
-			return nil, err
-		}
-		if b.shards > len(points) {
-			return nil, fmt.Errorf("%w: WithShards(%d) over %d points leaves shards empty", ErrBadOption, b.shards, len(points))
-		}
-		return newSetShardedConfig(points, r, b.iopts, cfg, b.shardConfig())
+	var fam lsh.Family[set.Set] = lsh.OneBitMinHash{}
+	if b.fullMin {
+		fam = lsh.MinHash{}
 	}
-	// Unsharded builds thread the registry through the Section 4 options
-	// (sharded builds carry it on shard.Config instead: the shard layer
-	// owns the draw loop there, and registering an idle core-layer
-	// instrument family would be noise in the exposition).
-	b.iopts.Obs = b.reg
-	switch b.algo {
-	case MultiRadius:
+	params := lshParams(b, fam, orDefault(b.farSim, 0.1))
+	if b.algo == MultiRadius {
 		if b.radiusSet {
 			return nil, fmt.Errorf("%w: Algorithm(MultiRadius) takes WithRadii, not Radius", ErrBadOption)
 		}
@@ -594,55 +615,48 @@ func NewSet(points []Set, opts ...Option) (Sampler[Set], error) {
 				return nil, fmt.Errorf("%w: grid radius %v outside (0, 1]", ErrBadRadius, r)
 			}
 		}
-		return NewSetMultiRadius(points, b.radii, b.iopts, cfg)
+		paramsFor := func(r float64) lsh.Params { return params(len(points), r) }
+		return core.NewMultiRadius(core.Jaccard(), fam, paramsFor, points, b.radii, b.independentOptions(), b.seed)
+	}
+	if !b.radiusSet {
+		return nil, fmt.Errorf("%w: Radius option is required", ErrBadRadius)
+	}
+	r := b.radius
+	if r <= 0 || r > 1 {
+		return nil, fmt.Errorf("%w: Jaccard radius %v outside (0, 1]", ErrBadRadius, r)
+	}
+	if b.shardsSet {
+		paramsFor := func(n int) lsh.Params { return params(n, r) }
+		return shard.BuildConfig(core.Jaccard(), fam, paramsFor, points, r, b.independentOptions(), b.shardConfig())
+	}
+	switch b.algo {
 	case NNIS:
-		r, err := b.needSetRadius()
-		if err != nil {
-			return nil, err
-		}
-		return NewSetIndependent(points, r, b.iopts, cfg)
+		return core.NewIndependent(core.Jaccard(), fam, params(len(points), r), points, r, b.independentOptions(), b.seed)
 	case NNS:
-		r, err := b.needSetRadius()
-		if err != nil {
-			return nil, err
-		}
-		return NewSetSampler(points, r, cfg)
+		return core.NewSamplerMemo(core.Jaccard(), fam, params(len(points), r), points, r, b.memo, b.seed)
 	case Standard:
-		r, err := b.needSetRadius()
-		if err != nil {
-			return nil, err
-		}
 		if b.memo != (MemoOptions{}) {
 			return nil, fmt.Errorf("%w: Algorithm(Standard) keeps no pooled memo — WithMemo has no effect", ErrBadOption)
 		}
-		return NewSetStandard(points, r, cfg)
+		return core.NewStandard(core.Jaccard(), fam, params(len(points), r), points, r, b.seed)
 	case Exact:
-		r, err := b.needSetRadius()
-		if err != nil {
-			return nil, err
-		}
 		if b.lshTuned() || b.fullMin || b.memo != (MemoOptions{}) {
 			return nil, fmt.Errorf("%w: Algorithm(Exact) is a linear scan — LSH and memo tuning have no effect", ErrBadOption)
 		}
-		return NewSetExact(points, r, cfg.withDefaults().Seed), nil
+		return core.NewExact(core.Jaccard(), points, r, b.seed), nil
 	case Weighted:
-		r, err := b.needSetRadius()
-		if err != nil {
-			return nil, err
-		}
 		if b.weight == nil || b.wMax <= 0 {
 			return nil, fmt.Errorf("%w: Algorithm(Weighted) needs WithWeight with a positive wMax", ErrBadOption)
 		}
-		return NewSetWeighted(points, r, b.weight, b.wMax, b.iopts, cfg)
+		return core.NewWeighted(core.Jaccard(), fam, params(len(points), r), points, r, b.weight, b.wMax, b.independentOptions(), b.seed)
 	case Dynamic:
-		r, err := b.needSetRadius()
-		if err != nil {
-			return nil, err
-		}
 		if b.memo != (MemoOptions{}) {
 			return nil, fmt.Errorf("%w: Algorithm(Dynamic) keeps no pooled memo — WithMemo has no effect", ErrBadOption)
 		}
-		d, err := NewSetDynamic(r, len(points), cfg)
+		if len(points) == 0 && b.k == 0 {
+			return nil, fmt.Errorf("%w: an empty Algorithm(Dynamic) start needs WithParams (no point count to tune K and L from)", ErrBadOption)
+		}
+		d, err := core.NewDynamic(core.Jaccard(), fam, params(max(len(points), 2), r), r, b.seed)
 		if err != nil {
 			return nil, err
 		}
@@ -652,8 +666,6 @@ func NewSet(points []Set, opts ...Option) (Sampler[Set], error) {
 			}
 		}
 		return d, nil
-	case Filter:
-		return nil, fmt.Errorf("%w: Algorithm(Filter) is vector-only (use NewVec)", ErrBadOption)
 	}
 	return nil, fmt.Errorf("%w: unknown algorithm %v", ErrBadOption, b.algo)
 }
@@ -664,7 +676,9 @@ func NewSet(points []Set, opts ...Option) (Sampler[Set], error) {
 // selects the Section 5 nearly-linear-space structure and additionally
 // needs WithBeta. Vector dimensionality is inferred from the first point
 // (override with WithDim); points disagreeing with it return
-// ErrDimMismatch.
+// ErrDimMismatch. As with NewSet, the returned Sampler is the structure
+// itself (*VecSamplerIndependent, *VecSampler, *VecIndependent,
+// *VecExact, or *Sharded[Vec]).
 func NewVec(points []Vec, opts ...Option) (Sampler[Vec], error) {
 	b := apply(opts)
 	if b.err != nil {
@@ -700,7 +714,6 @@ func NewVec(points []Vec, opts ...Option) (Sampler[Vec], error) {
 			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrDimMismatch, i, len(p), dim)
 		}
 	}
-	b.dim = dim
 	if !b.radiusSet {
 		return nil, fmt.Errorf("%w: Radius (alpha) option is required", ErrBadRadius)
 	}
@@ -708,38 +721,25 @@ func NewVec(points []Vec, opts ...Option) (Sampler[Vec], error) {
 	if alpha <= -1 || alpha >= 1 {
 		return nil, fmt.Errorf("%w: alpha %v outside (-1, 1)", ErrBadRadius, alpha)
 	}
-	cfg := b.vecConfig()
-	if b.part != nil && !b.shardsSet {
-		return nil, fmt.Errorf("%w: WithPartitioner requires WithShards", ErrBadOption)
-	}
-	if err := b.needShardsForResilience(); err != nil {
+	if err := b.checkShards(len(points)); err != nil {
 		return nil, err
 	}
-	if err := b.checkTelemetry(); err != nil {
-		return nil, err
+	var fam lsh.Family[vector.Vec] = lsh.SimHash{Dim: dim}
+	if b.crossPoly {
+		fam = lsh.CrossPolytope{Dim: dim}
 	}
+	// The vector far similarity is taken as given: its default, inner
+	// product 0, is the zero value, and a negative one is meaningful.
+	params := lshParams(b, fam, b.farSim)
 	if b.shardsSet {
-		if b.algo == Dynamic {
-			// Dynamic is set-only anyway, but the documented contract for
-			// the combination is the dedicated typed error (see NewSet).
-			return nil, fmt.Errorf("%w: WithShards(%d) with Algorithm(Dynamic)", ErrShardedDynamic, b.shards)
-		}
-		if b.algo != NNIS {
-			return nil, fmt.Errorf("%w: sharding wraps the Section 4 sampler — WithShards requires Algorithm(NNIS), got %v", ErrBadOption, b.algo)
-		}
-		if b.shards > len(points) {
-			return nil, fmt.Errorf("%w: WithShards(%d) over %d points leaves shards empty", ErrBadOption, b.shards, len(points))
-		}
-		return newVecShardedConfig(points, alpha, b.iopts, cfg, b.shardConfig())
+		paramsFor := func(n int) lsh.Params { return params(n, alpha) }
+		return shard.BuildConfig(core.InnerProduct(), fam, paramsFor, points, alpha, b.independentOptions(), b.shardConfig())
 	}
-	// See NewSet: unsharded builds carry the registry on the options
-	// structs; sharded builds carry it on shard.Config.
-	b.iopts.Obs = b.reg
 	switch b.algo {
 	case NNIS:
-		return NewVecSamplerIndependent(points, alpha, b.iopts, cfg)
+		return core.NewIndependent(core.InnerProduct(), fam, params(len(points), alpha), points, alpha, b.independentOptions(), b.seed)
 	case NNS:
-		return NewVecSampler(points, alpha, cfg)
+		return core.NewSamplerMemo(core.InnerProduct(), fam, params(len(points), alpha), points, alpha, b.memo, b.seed)
 	case Filter:
 		if !b.betaSet {
 			return nil, fmt.Errorf("%w: Algorithm(Filter) needs WithBeta", ErrBadRadius)
@@ -751,9 +751,8 @@ func NewVec(points []Vec, opts ...Option) (Sampler[Vec], error) {
 			return nil, fmt.Errorf("%w: Algorithm(Filter) is tuned via WithVecOptions — LSH (K, L)/recall/far and cross-polytope options have no effect", ErrBadOption)
 		}
 		vopts := b.vopts
-		vopts.Memo = memoOr(vopts.Memo, b.memo)
-		vopts.Obs = b.reg
-		fi, err := NewVecIndependent(points, alpha, b.beta, vopts, cfg.withDefaults().Seed)
+		vopts.Memo, vopts.Obs = b.memo, b.reg
+		fi, err := core.NewFilterIndependent(points, alpha, b.beta, vopts, b.seed)
 		if errors.Is(err, filter.ErrKeySpace) {
 			return nil, fmt.Errorf("%w: filter geometry: %w", ErrBadOption, err)
 		}
@@ -765,7 +764,7 @@ func NewVec(points []Vec, opts ...Option) (Sampler[Vec], error) {
 		if b.lshTuned() || b.crossPoly || b.memo != (MemoOptions{}) {
 			return nil, fmt.Errorf("%w: Algorithm(Exact) is a linear scan — LSH and memo tuning have no effect", ErrBadOption)
 		}
-		return NewVecExact(points, alpha, cfg.withDefaults().Seed), nil
+		return core.NewExact(core.InnerProduct(), points, alpha, b.seed), nil
 	case Standard, Weighted, MultiRadius, Dynamic:
 		return nil, fmt.Errorf("%w: Algorithm(%v) is set-only (use NewSet)", ErrBadOption, b.algo)
 	}

@@ -2,7 +2,10 @@ package fairnn_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -24,157 +27,122 @@ func drawN[P any](s fairnn.Sampler[P], q P, n int) []int32 {
 	return out
 }
 
-// TestBuilderMatchesLegacySetConstructors pins the builder's
-// bit-compatibility contract: NewSet with options must produce the same
-// structure — hence the identical same-seed sample stream — as the legacy
-// constructor it delegates to.
-func TestBuilderMatchesLegacySetConstructors(t *testing.T) {
-	sets, q := smallSets()
-	type pair struct {
-		name    string
-		legacy  func() (fairnn.Sampler[fairnn.Set], error)
-		builder func() (fairnn.Sampler[fairnn.Set], error)
+// streamDigest fingerprints a sampler's same-seed output: the FNV-64a of
+// 50 Sample ids (−1 for a miss) followed by one SampleK(10).
+func streamDigest[P any](s fairnn.Sampler[P], q P) string {
+	h := fnv.New64a()
+	var buf [4]byte
+	put := func(id int32) {
+		binary.LittleEndian.PutUint32(buf[:], uint32(id))
+		h.Write(buf[:])
 	}
-	pairs := []pair{
-		{
-			name: "NNIS",
-			legacy: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSetIndependent(sets, 0.6, fairnn.IndependentOptions{}, fairnn.Config{Seed: 23})
-			},
-			builder: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.NNIS), fairnn.WithSeed(23))
-			},
-		},
-		{
-			name: "NNS",
-			legacy: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSetSampler(sets, 0.6, fairnn.Config{Seed: 29, K: 4, L: 7})
-			},
-			builder: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.NNS), fairnn.WithSeed(29), fairnn.WithParams(4, 7))
-			},
-		},
-		{
-			name: "Exact",
-			legacy: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSetExact(sets, 0.6, 37), nil
-			},
-			builder: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Exact), fairnn.WithSeed(37))
-			},
-		},
-		{
-			name: "Weighted",
-			legacy: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSetWeighted(sets, 0.6, func(s float64) float64 { return s }, 1, fairnn.IndependentOptions{}, fairnn.Config{Seed: 41})
-			},
-			builder: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Weighted),
-					fairnn.WithWeight(func(s float64) float64 { return s }, 1), fairnn.WithSeed(41))
-			},
-		},
-		{
-			name: "MultiRadius",
-			legacy: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSetMultiRadius(sets, []float64{0.3, 0.6, 0.95}, fairnn.IndependentOptions{}, fairnn.Config{Seed: 43})
-			},
-			builder: func() (fairnn.Sampler[fairnn.Set], error) {
-				return fairnn.NewSet(sets, fairnn.Algorithm(fairnn.MultiRadius), fairnn.WithRadii(0.3, 0.6, 0.95), fairnn.WithSeed(43))
-			},
-		},
+	for _, id := range drawN(s, q, 50) {
+		put(id)
 	}
-	for _, tc := range pairs {
-		t.Run(tc.name, func(t *testing.T) {
-			a, err := tc.legacy()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := tc.builder()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, want := drawN(b, q, 50), drawN(a, q, 50)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("draw %d: builder = %d, legacy = %d — streams diverged", i, got[i], want[i])
-				}
-			}
-		})
+	for _, id := range s.SampleK(q, 10, nil) {
+		put(id)
 	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestBuilderStandardMatchesLegacyShape covers the Standard baseline
-// separately: its build shuffles bucket contents in map-iteration order,
-// so two same-seed instances are distribution- but not bit-identical
-// (a pre-existing property of the legacy constructor). The builder must
-// still resolve identical LSH parameters and sample only near points.
-func TestBuilderStandardMatchesLegacyShape(t *testing.T) {
+// TestBuilderStreamDigestsPinned pins the same-seed sample streams of
+// every builder path, including the defaults the builder resolves
+// (WithSeed(0) means 1, a set far similarity ≤ 0 means 0.1, a vector far
+// similarity is taken as given). A change to construction, parameter
+// selection or seeding shows up here; a deliberate stream change must
+// re-pin these values behind the chi-squared tests.
+func TestBuilderStreamDigestsPinned(t *testing.T) {
 	sets, q := smallSets()
-	legacy, err := fairnn.NewSetStandard(sets, 0.6, fairnn.Config{Seed: 31, Recall: 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Standard), fairnn.WithSeed(31), fairnn.WithRecall(0.95))
-	if err != nil {
-		t.Fatal(err)
-	}
-	std := built.(*fairnn.SetStandard)
-	if std.Params() != legacy.Params() {
-		t.Fatalf("builder params %+v, legacy %+v", std.Params(), legacy.Params())
-	}
-	for i := 0; i < 30; i++ {
-		id, ok := built.Sample(q, nil)
-		if !ok {
-			t.Fatal("naive fair sample found nothing")
-		}
-		if fairnn.Jaccard(q, std.Point(id)) < 0.6 {
-			t.Fatalf("sampled far point %d", id)
-		}
-	}
-}
-
-// TestBuilderMatchesLegacyVec pins the vector twin for the Section 4 and
-// Section 5 constructions.
-func TestBuilderMatchesLegacyVec(t *testing.T) {
 	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: 400, Dim: 24, Alpha: 0.8, Beta: 0.4, BallSize: 12, MidSize: 40, Seed: 9,
 	})
-	legacyFi, err := fairnn.NewVecIndependent(w.Points, 0.8, 0.4, fairnn.VecOptions{}, 47)
-	if err != nil {
-		t.Fatal(err)
+	compact := fairnn.MemoOptions{Backend: fairnn.MemoCompact}
+	for _, c := range []struct {
+		name string
+		opts []fairnn.Option
+		want string
+	}{
+		{"NNIS", []fairnn.Option{fairnn.Radius(0.6), fairnn.WithSeed(23)}, "4699308cd2445120"},
+		{"NNIS-seed0", []fairnn.Option{fairnn.Radius(0.6), fairnn.WithSeed(0), fairnn.WithFarSim(-1)}, "f9c8b2cf8044cdc5"},
+		{"NNIS-tuned", []fairnn.Option{fairnn.Radius(0.6), fairnn.WithSeed(23), fairnn.WithFullMinHash(),
+			fairnn.WithRecall(0.9), fairnn.WithFarSim(0.2), fairnn.WithFarBudget(3), fairnn.WithMemo(compact),
+			fairnn.WithIndependentOptions(fairnn.IndependentOptions{Lambda: 8})}, "8cbc34d713a0c9f4"},
+		{"NNS", []fairnn.Option{fairnn.Radius(0.6), fairnn.Algorithm(fairnn.NNS), fairnn.WithSeed(29), fairnn.WithParams(4, 7)}, "d4ba7f5d698ee034"},
+		{"Exact", []fairnn.Option{fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Exact), fairnn.WithSeed(37)}, "451ef780732bacd5"},
+		{"Weighted", []fairnn.Option{fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Weighted),
+			fairnn.WithWeight(func(s float64) float64 { return s }, 1), fairnn.WithSeed(41)}, "d5083c12057b19d3"},
+		{"MultiRadius", []fairnn.Option{fairnn.Algorithm(fairnn.MultiRadius), fairnn.WithRadii(0.3, 0.6, 0.95), fairnn.WithSeed(43)}, "e7f6c4b09523c5e5"},
+		{"Dynamic", []fairnn.Option{fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Dynamic), fairnn.WithSeed(61)}, "9473e1eac6a4eb84"},
+		{"Sharded3", []fairnn.Option{fairnn.Radius(0.6), fairnn.WithSeed(101), fairnn.WithShards(3),
+			fairnn.WithPartitioner(fairnn.HashPartitioner(7))}, "ed332f4560f76ce0"},
+	} {
+		t.Run("set/"+c.name, func(t *testing.T) {
+			s, err := fairnn.NewSet(sets, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := streamDigest(s, q); got != c.want {
+				t.Errorf("stream digest %s, want %s", got, c.want)
+			}
+		})
 	}
-	builtFi, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.4), fairnn.WithSeed(47))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		opts []fairnn.Option
+		want string
+	}{
+		{"NNIS", []fairnn.Option{fairnn.Radius(0.8), fairnn.WithSeed(53)}, "4b42c7a60fd4cbbe"},
+		{"NNIS-crosspoly", []fairnn.Option{fairnn.Radius(0.8), fairnn.WithSeed(53), fairnn.WithCrossPolytope(),
+			fairnn.WithFarSim(-0.2), fairnn.WithMemo(compact)}, "a087d92a33b29f80"},
+		{"NNS", []fairnn.Option{fairnn.Radius(0.8), fairnn.Algorithm(fairnn.NNS), fairnn.WithSeed(59)}, "5da9f23a320473e4"},
+		{"Exact", []fairnn.Option{fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Exact), fairnn.WithSeed(61)}, "926308d21cddd4bc"},
+		{"Filter", []fairnn.Option{fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.4), fairnn.WithSeed(47)}, "f20030ecc4c24230"},
+		{"Sharded2", []fairnn.Option{fairnn.Radius(0.8), fairnn.WithSeed(67), fairnn.WithShards(2)}, "ba7710c8af7fadd8"},
+	} {
+		t.Run("vec/"+c.name, func(t *testing.T) {
+			s, err := fairnn.NewVec(w.Points, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := streamDigest(s, w.Query); got != c.want {
+				t.Errorf("stream digest %s, want %s", got, c.want)
+			}
+		})
 	}
-	got, want := drawN[fairnn.Vec](builtFi, w.Query, 40), drawN[fairnn.Vec](legacyFi, w.Query, 40)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("filter draw %d: builder = %d, legacy = %d", i, got[i], want[i])
+	// Standard's build shuffles bucket contents in map-iteration order,
+	// so same-seed instances agree in distribution, not bit for bit: pin
+	// its resolved (K, L) and that it samples only near points.
+	t.Run("set/Standard", func(t *testing.T) {
+		s, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Standard), fairnn.WithSeed(31), fairnn.WithRecall(0.95))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	legacyNN, err := fairnn.NewVecSamplerIndependent(w.Points, 0.8, fairnn.IndependentOptions{}, fairnn.VecConfig{Seed: 53})
-	if err != nil {
-		t.Fatal(err)
-	}
-	builtNN, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.WithSeed(53))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want = drawN[fairnn.Vec](builtNN, w.Query, 40), drawN[fairnn.Vec](legacyNN, w.Query, 40)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NNIS draw %d: builder = %d, legacy = %d", i, got[i], want[i])
+		std := s.(*fairnn.SetStandard)
+		if got, want := std.Params(), (fairnn.Params{K: 4, L: 6}); got != want {
+			t.Errorf("params %+v, want %+v", got, want)
 		}
-	}
+		for i := 0; i < 30; i++ {
+			id, ok := s.Sample(q, nil)
+			if !ok || fairnn.Jaccard(q, std.Point(id)) < 0.6 {
+				t.Fatalf("draw %d: id %d ok=%v is not a near point", i, id, ok)
+			}
+		}
+	})
 }
 
 // TestBuilderTypedErrors pins the typed validation errors.
 func TestBuilderTypedErrors(t *testing.T) {
 	sets, _ := smallSets()
-	if _, err := fairnn.NewSet(nil, fairnn.Radius(0.5)); !errors.Is(err, fairnn.ErrNoPoints) {
-		t.Errorf("empty points err = %v, want ErrNoPoints", err)
+	// Only Algorithm(Dynamic) starts empty, and only with WithParams:
+	// there is no point count to tune (K, L) from.
+	for _, algo := range []fairnn.Algo{fairnn.NNIS, fairnn.NNS, fairnn.Standard, fairnn.Exact, fairnn.Weighted, fairnn.MultiRadius, fairnn.Filter} {
+		_, err := fairnn.NewSet(nil, fairnn.Radius(0.5), fairnn.Algorithm(algo))
+		if !errors.Is(err, fairnn.ErrNoPoints) || strings.Contains(err.Error(), "NewSetDynamic") {
+			t.Errorf("empty %v err = %v, want ErrNoPoints", algo, err)
+		}
+	}
+	if _, err := fairnn.NewSet(nil, fairnn.Radius(0.5), fairnn.Algorithm(fairnn.Dynamic)); !errors.Is(err, fairnn.ErrBadOption) {
+		t.Errorf("empty Dynamic without WithParams err = %v, want ErrBadOption", err)
 	}
 	if _, err := fairnn.NewSet(sets); !errors.Is(err, fairnn.ErrBadRadius) {
 		t.Errorf("missing radius err = %v, want ErrBadRadius", err)
@@ -244,6 +212,28 @@ func TestBuilderTypedErrors(t *testing.T) {
 		fairnn.WithVecOptions(fairnn.VecOptions{T: 8, M1T: 300}))
 	if !errors.Is(err, fairnn.ErrBadOption) || !strings.Contains(err.Error(), "T=8, M1T=300") {
 		t.Errorf("overflowing filter geometry err = %v, want ErrBadOption naming T=8, M1T=300", err)
+	}
+	// Observe and WithMemo are the only telemetry and memo knobs: the
+	// same fields inside an options struct are refused, never dropped,
+	// on every build path.
+	reg, memo := fairnn.NewRegistry(), fairnn.MemoOptions{Backend: fairnn.MemoCompact}
+	for _, c := range []struct {
+		name, knob string
+		opt        fairnn.Option
+	}{
+		{"IndependentOptions.Obs", "Observe", fairnn.WithIndependentOptions(fairnn.IndependentOptions{Obs: reg})},
+		{"IndependentOptions.Memo", "WithMemo", fairnn.WithIndependentOptions(fairnn.IndependentOptions{Memo: memo})},
+		{"VecOptions.Obs", "Observe", fairnn.WithVecOptions(fairnn.VecOptions{Obs: reg})},
+		{"VecOptions.Memo", "WithMemo", fairnn.WithVecOptions(fairnn.VecOptions{Memo: memo})},
+	} {
+		_, setErr := fairnn.NewSet(sets, fairnn.Radius(0.5), c.opt)
+		_, shardErr := fairnn.NewSet(sets, fairnn.Radius(0.5), fairnn.WithShards(2), c.opt)
+		_, vecErr := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.5), c.opt)
+		for _, err := range []error{setErr, shardErr, vecErr} {
+			if !errors.Is(err, fairnn.ErrBadOption) || !strings.Contains(err.Error(), c.knob) {
+				t.Errorf("%s err = %v, want ErrBadOption naming %s", c.name, err, c.knob)
+			}
+		}
 	}
 }
 
