@@ -79,8 +79,9 @@ type ShardHealth = shard.ShardHealth
 // ShardResilience is the per-shard-call fault-tolerance policy of a
 // sharded sampler, normally assembled via the WithShardDeadline /
 // WithShardRetry / WithShardBackoff / WithDegradedMode /
-// WithShardProbeEvery options. The zero value disables the resilient
-// path entirely.
+// WithShardProbeEvery options. The zero value disables the policy:
+// without WithFaultInjection, the shards' backend stacks then have no
+// resilience layer.
 type ShardResilience = shard.Resilience
 
 // FaultInjector is the deterministic fault-injection harness wired

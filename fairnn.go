@@ -123,11 +123,13 @@
 // Each shard of a sharded sampler is an explicit failure domain behind a
 // per-shard backend seam: the three per-shard operations of a query —
 // arming (estimate + plan setup), per-round segment reports, and the
-// final point pick — go through an interface an RPC backend can later
-// implement, and the in-process backend the library ships wraps today's
-// per-shard structures with zero overhead. On top of that seam sits an
-// opt-in resilience policy, assembled with builder options on sharded
-// builds only (they return ErrBadOption without WithShards):
+// final point pick — are one call each into the shard's backend stack.
+// The stack is built once per shard: the per-shard structure, then fault
+// injection, the resilience policy and telemetry (Observe), each layered
+// on only when configured, so a plain build calls the structure
+// directly. The resilience policy is opt-in, assembled with builder
+// options on sharded builds only (they return ErrBadOption without
+// WithShards):
 //
 //   - WithShardDeadline(d) bounds every per-shard call attempt with a
 //     context deadline.

@@ -157,8 +157,8 @@ func shardedPoint(cfg ScalingConfig, w dataset.PlantedBall, n int) (buildMicros,
 		return lsh.Params{K: k, L: l}
 	}
 	start := time.Now()
-	sh, err := shard.Build[vector.Vec](core.InnerProduct(), fam, paramsFor, w.Points, cfg.Alpha,
-		core.IndependentOptions{Memo: cfg.Memo}, cfg.Shards, shard.RoundRobin{}, cfg.Seed+uint64(n)*13)
+	sh, err := shard.BuildConfig[vector.Vec](core.InnerProduct(), fam, paramsFor, w.Points, cfg.Alpha,
+		core.IndependentOptions{Memo: cfg.Memo}, shard.Config{Shards: cfg.Shards, Partitioner: shard.RoundRobin{}, Seed: cfg.Seed + uint64(n)*13})
 	if err != nil {
 		return 0, 0, err
 	}

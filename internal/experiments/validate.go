@@ -163,9 +163,9 @@ func RunValidate(cfg ValidateConfig) (*ValidateResult, error) {
 	// Theorem 2 across a partitioned index: the sharded union draw must be
 	// just as uniform and independent as the single structure.
 	if cfg.Shards > 0 {
-		sh, err := shard.Build[set.Set](space, lsh.OneBitMinHash{},
+		sh, err := shard.BuildConfig[set.Set](space, lsh.OneBitMinHash{},
 			func(int) lsh.Params { return params }, sets, cfg.Radius,
-			core.IndependentOptions{Memo: cfg.Memo}, cfg.Shards, shard.RoundRobin{}, cfg.Seed+5)
+			core.IndependentOptions{Memo: cfg.Memo}, shard.Config{Shards: cfg.Shards, Partitioner: shard.RoundRobin{}, Seed: cfg.Seed + 5})
 		if err != nil {
 			return nil, err
 		}

@@ -61,7 +61,7 @@ func TestShardSweepGauge(t *testing.T) {
 	pts := lineDataset(n)
 	for _, S := range sweep {
 		start := time.Now()
-		s, err := Build[int](intSpace(), chunkFamily{width: 64}, constParams(lsh.Params{K: 1, L: 4}), pts, radius, core.IndependentOptions{}, S, RoundRobin{}, 991)
+		s, err := BuildConfig[int](intSpace(), chunkFamily{width: 64}, constParams(lsh.Params{K: 1, L: 4}), pts, radius, core.IndependentOptions{}, Config{Shards: S, Partitioner: RoundRobin{}, Seed: 991})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,9 +7,9 @@ import (
 	"fairnn/internal/obs"
 )
 
-// Backend-operation indices for the per-(shard, op) instrument tables.
-// They parallel the op salts in resilience.go: one name, one salt, one
-// instrument row per seam operation.
+// Backend-operation indices for the per-(shard, op) instrument tables,
+// the span names and the backoff salts (opSalts in resilience.go): one
+// name, one salt, one instrument row per seam operation.
 const (
 	opArm = iota
 	opSegment
@@ -74,27 +74,19 @@ func newShardMetrics(r *obs.Registry, shards int) *shardMetrics {
 	return m
 }
 
-// opOK records a successful backend call's whole-call latency.
+// opDone records one whole backend call: its latency, and a failure
+// when it returned an error (slow failures are the interesting ones, so
+// their latency lands in the histogram too).
 //
 //fairnn:noalloc
-func (m *shardMetrics) opOK(j, op int, d time.Duration) {
+func (m *shardMetrics) opDone(j, op int, d time.Duration, err error) {
 	if m == nil {
 		return
 	}
 	m.opLat[j][op].Observe(d)
-}
-
-// opFailed records a backend call that exhausted its budget (its
-// latency still lands in the histogram — slow failures are the
-// interesting ones).
-//
-//fairnn:noalloc
-func (m *shardMetrics) opFailed(j, op int, d time.Duration) {
-	if m == nil {
-		return
+	if err != nil {
+		m.opErr[j][op].Inc()
 	}
-	m.opLat[j][op].Observe(d)
-	m.opErr[j][op].Inc()
 }
 
 // retried records one retry attempt of a backend call.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"math/bits"
 	"time"
 
 	"fairnn/internal/core"
@@ -16,12 +14,12 @@ import (
 )
 
 // This file is the client half of the multi-node serving layer: a
-// Backend implementation that runs each per-shard operation over one
-// wire connection to a fairnn-server process. Everything above the
-// Backend seam — the union draw, the single per-query RNG stream, the
-// deadline/retry/backoff envelope, degraded mode, the health registry,
-// fault injection — applies to remote shards verbatim, which is the
-// payoff PR 6 bought by routing every per-shard op through the seam.
+// Backend base that runs each per-shard operation over one wire
+// connection to a fairnn-server process. The layers composed over it —
+// fault injection, the deadline/retry/backoff envelope, telemetry — and
+// everything above the seam — the union draw, the single per-query RNG
+// stream, degraded mode, the health registry — apply to remote shards
+// verbatim.
 //
 // Determinism over the wire: arming mirrors (ŝ, k0) into a client-side
 // plan whose ResetDraw/Segments/Halve arithmetic is pure; the segment
@@ -59,8 +57,8 @@ type remoteBackend[P any] struct {
 }
 
 // Arm implements Backend over the wire: a new plan id is armed on the
-// server and the reported (ŝ, k0) are mirrored into p.
-func (b *remoteBackend[P]) Arm(ctx context.Context, p *core.ShardPlan[P], q P, st *core.QueryStats) error {
+// server and the reported (ŝ, k0) are mirrored into c's plan.
+func (b *remoteBackend[P]) Arm(ctx context.Context, c *slot[P], q P, st *core.QueryStats) error {
 	id := b.c.NextPlanID()
 	resp, err := wire.ArmCall(ctx, b.c, b.codec, id, q)
 	if err != nil {
@@ -74,7 +72,7 @@ func (b *remoteBackend[P]) Arm(ctx context.Context, p *core.ShardPlan[P], q P, s
 		}
 		return mapRemoteErr(err)
 	}
-	p.ArmExternal(&remotePlan{c: b.c, id: id}, resp.Est, resp.K0)
+	c.plan.ArmExternal(&remotePlan{c: b.c, id: id}, resp.Est, resp.K0)
 	applyDelta(st, resp.Stats)
 	return nil
 }
@@ -83,12 +81,12 @@ func (b *remoteBackend[P]) Arm(ctx context.Context, p *core.ShardPlan[P], q P, s
 // plan's current (h, k) so the server computes the same segment bounds
 // the in-process plan would; the report's ids stay on the server and
 // only the count returns.
-func (b *remoteBackend[P]) SegmentNear(ctx context.Context, p *core.ShardPlan[P], h int, st *core.QueryStats) (int, error) {
-	rp, ok := p.External().(*remotePlan)
+func (b *remoteBackend[P]) SegmentNear(ctx context.Context, c *slot[P], h int, st *core.QueryStats) (int, error) {
+	rp, ok := c.plan.External().(*remotePlan)
 	if !ok {
 		return 0, fmt.Errorf("shard %d: segment on an unarmed remote plan", b.shard)
 	}
-	resp, err := wire.SegmentCall(ctx, b.c, rp.id, h, p.Segments())
+	resp, err := wire.SegmentCall(ctx, b.c, rp.id, h, c.plan.Segments())
 	if err != nil {
 		return 0, mapRemoteErr(err)
 	}
@@ -101,8 +99,8 @@ func (b *remoteBackend[P]) SegmentNear(ctx context.Context, p *core.ShardPlan[P]
 // segment report is drawn from r on the client — the same single Intn
 // draw the in-process Pick performs, in the same stream position — and
 // the server only dereferences it.
-func (b *remoteBackend[P]) Pick(ctx context.Context, p *core.ShardPlan[P], r *rng.Source) (int32, error) {
-	rp, ok := p.External().(*remotePlan)
+func (b *remoteBackend[P]) Pick(ctx context.Context, c *slot[P], r *rng.Source) (int32, error) {
+	rp, ok := c.plan.External().(*remotePlan)
 	if !ok || rp.lastN <= 0 {
 		return 0, fmt.Errorf("shard %d: pick without a positive segment report", b.shard)
 	}
@@ -120,9 +118,6 @@ func (b *remoteBackend[P]) N() int { return b.n }
 // RetainedScratchBytes implements Backend: the scratch lives on the
 // server, so the client-side answer is zero.
 func (b *remoteBackend[P]) RetainedScratchBytes() int { return 0 }
-
-// Close tears down the shard's connection.
-func (b *remoteBackend[P]) Close() error { return b.c.Close() }
 
 // mapRemoteErr maps wire-level failures onto the shard layer's error
 // vocabulary: a draining server is indistinguishable from a down shard
@@ -160,10 +155,9 @@ type RemoteConfig struct {
 	// (points never cross the wire). nil defaults to RoundRobin.
 	Partitioner Partitioner
 	// Resilience is the per-shard-call fault-tolerance policy. Unlike
-	// the in-process sampler, a remote sampler ALWAYS runs the resilient
-	// call path (sockets fail; errors must be observed), so the zero
-	// value here means "resilient path with default knobs", not "plain
-	// path".
+	// the in-process sampler, a remote sampler ALWAYS has the resilient
+	// layer (sockets fail; errors must be observed), so the zero value
+	// here means "resilient layer with default knobs", not "no layer".
 	Resilience Resilience
 	// Injector, when non-nil, interposes the fault-injection harness on
 	// every remote call with the same per-(shard, op, ordinal)
@@ -255,33 +249,20 @@ func Connect[P any](codec wire.PointCodec[P], addrs []string, cfg RemoteConfig) 
 	}
 
 	s := &Sharded[P]{
-		toGlobal:   toGlobal,
-		lambda:     m0.Lambda,
-		sigma:      m0.Sigma,
-		partName:   part.Name(),
-		size:       n,
-		floorGrace: bits.Len(uint(shards - 1)),
-		res:        cfg.Resilience.withDefaults(),
-		// Remote calls can always fail, so the resilient path — the only
-		// one that observes backend errors — is mandatory over the wire.
-		resOn: true,
-		inj:   cfg.Injector,
-		qseed: m0.QueryStreamSeed,
+		toGlobal: toGlobal,
+		lambda:   m0.Lambda,
+		sigma:    m0.Sigma,
+		partName: part.Name(),
+		size:     n,
+		qseed:    m0.QueryStreamSeed,
+		conns:    clients,
 	}
-	s.health = newHealthRegistry(shards, s.res.ProbeEvery)
-	s.met = newShardMetrics(cfg.Obs, shards)
-	if cfg.TraceEveryN > 0 {
-		s.trc = cfg.Obs.EnableTracing(cfg.TraceEveryN, traceRingCapacity)
+	bases := make([]Backend[P], shards)
+	for j, c := range clients {
+		c.Observe(cfg.Obs)
+		bases[j] = &remoteBackend[P]{c: c, codec: codec, shard: j, n: c.Meta().ShardN}
 	}
-	s.backends = make([]Backend[P], shards)
-	for j := range s.backends {
-		clients[j].Observe(cfg.Obs)
-		var b Backend[P] = &remoteBackend[P]{c: clients[j], codec: codec, shard: j, n: clients[j].Meta().ShardN}
-		if cfg.Injector != nil {
-			b = &faultBackend[P]{next: b, inj: cfg.Injector, shard: j}
-		}
-		s.backends[j] = b
-	}
+	s.compose(bases, Config{Resilience: cfg.Resilience, Injector: cfg.Injector, Obs: cfg.Obs, TraceEveryN: cfg.TraceEveryN}, true)
 	s.pool.SetCap(core.MemoOptions{}.Resolved().MaxRetainedQueriers)
 	return s, nil
 }
@@ -291,19 +272,8 @@ func Connect[P any](codec wire.PointCodec[P], addrs []string, cfg RemoteConfig) 
 // in-process sampler it is a no-op. Safe to call more than once;
 // queries issued after Close fail as shard-down.
 func (s *Sharded[P]) Close() error {
-	for _, b := range s.backends {
-		if c, ok := b.(io.Closer); ok {
-			_ = c.Close()
-		}
-	}
-	return nil
-}
-
-// Close forwards to the decorated backend so a fault-injected remote
-// sampler still tears its connections down.
-func (b *faultBackend[P]) Close() error {
-	if c, ok := b.next.(io.Closer); ok {
-		return c.Close()
+	for _, c := range s.conns {
+		_ = c.Close()
 	}
 	return nil
 }

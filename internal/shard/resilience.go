@@ -5,27 +5,27 @@ import (
 	"time"
 
 	"fairnn/internal/core"
-	"fairnn/internal/obs"
 	"fairnn/internal/rng"
 )
 
 // Resilience is the per-shard-call fault-tolerance policy of a sharded
-// sampler. The zero value disables everything: per-shard calls are
-// direct, unlimited, and un-retried — the exact pre-resilience query
-// path, preserving the zero-allocation and bit-identical-stream
-// contracts. Any non-zero field (or a configured fault injector) routes
-// queries through the resilient path instead.
+// sampler. The zero value disables everything: an in-process sampler
+// with the zero policy and no fault injector composes no resilience
+// layer, so per-shard calls are direct, unlimited, and un-retried —
+// preserving the zero-allocation and bit-identical-stream contracts.
+// Any non-zero field (or a configured fault injector) adds the resilient
+// layer to every shard's backend stack; a network-connected sampler
+// always has it.
 //
 // Deadlines bound waiting, not compute: a per-attempt deadline unblocks
-// calls that wait on ctx.Done — injected stalls/latency today, network
-// I/O in the RPC backend — while in-process segment counting is bounded
-// by the draw loop's own cancellation polling. Retries use capped
-// exponential backoff with full jitter; the jitter randomness comes from
-// a per-(query, shard, op) substream derived from the query's stream
-// seed — NOT from the query's main RNG stream, which must stay untouched
-// on fault-free rounds so same-seed sample streams remain bit-identical
-// with an idle injector, and which parallel-armed shards must not race
-// on.
+// calls that wait on ctx.Done — injected stalls/latency and network I/O
+// — while in-process segment counting is bounded by the draw loop's own
+// cancellation polling. Retries use capped exponential backoff with full
+// jitter; the jitter randomness comes from a per-(query, shard, op)
+// substream derived from the query's stream seed — NOT from the query's
+// main RNG stream, which must stay untouched on fault-free rounds so
+// same-seed sample streams remain bit-identical with an idle injector,
+// and which parallel-armed shards must not race on.
 type Resilience struct {
 	// Deadline bounds each individual attempt of each per-shard call;
 	// 0 means no deadline.
@@ -52,8 +52,8 @@ type Resilience struct {
 	ProbeEvery int
 }
 
-// enabled reports whether any policy field routes queries through the
-// resilient path.
+// enabled reports whether any policy field asks for the resilient
+// layer.
 func (r Resilience) enabled() bool {
 	return r.Deadline > 0 || r.Retries > 0 || r.Degraded
 }
@@ -72,13 +72,63 @@ func (r Resilience) withDefaults() Resilience {
 	return r
 }
 
-// Op salts separate the backoff-jitter substreams of the three backend
-// operations of one (query, shard) pair.
-const (
-	saltArm     = 0xa12f
-	saltSegment = 0x5e67
-	saltPick    = 0x91c4
-)
+// opSalts separate the backoff-jitter substreams of the three backend
+// operations of one (query, shard) pair, indexed like opNames.
+var opSalts = [numOps]uint64{0xa12f, 0x5e67, 0x91c4}
+
+// resilient is the resilience layer of a shard's backend stack (see
+// Backend): every op runs under the policy's health gate, per-attempt
+// deadline, bounded retries with jittered backoff, and panic
+// containment.
+type resilient[P any] struct {
+	Backend[P]
+	res    Resilience
+	health *healthRegistry
+	met    *shardMetrics
+	shard  int
+}
+
+// Arm arms under the envelope and, on success, feeds the health
+// registry the estimate (re-admitting a probed shard).
+//
+//fairnn:noalloc
+func (b *resilient[P]) Arm(ctx context.Context, c *slot[P], q P, st *core.QueryStats) error {
+	//fairnn:allocok resilience envelope: one closure per call buys panic/deadline containment
+	err := b.call(ctx, c, opArm, func(actx context.Context) error {
+		// Each attempt re-arms from a clean plan: a prior attempt may
+		// have panicked or timed out partway through arming.
+		c.plan.Abort()
+		return b.Backend.Arm(actx, c, q, st)
+	})
+	if err == nil && b.health.ok(b.shard, c.plan.Estimate()) {
+		b.met.readmitted()
+	}
+	return err
+}
+
+// SegmentNear is the backend's SegmentNear under the envelope.
+//
+//fairnn:noalloc
+func (b *resilient[P]) SegmentNear(ctx context.Context, c *slot[P], h int, st *core.QueryStats) (n int, err error) {
+	//fairnn:allocok resilience envelope: one closure per call buys panic/deadline containment
+	err = b.call(ctx, c, opSegment, func(actx context.Context) (err error) {
+		n, err = b.Backend.SegmentNear(actx, c, h, st)
+		return err
+	})
+	return n, err
+}
+
+// Pick is the backend's Pick under the envelope.
+//
+//fairnn:noalloc
+func (b *resilient[P]) Pick(ctx context.Context, c *slot[P], r *rng.Source) (id int32, err error) {
+	//fairnn:allocok resilience envelope: one closure per call buys panic/deadline containment
+	err = b.call(ctx, c, opPick, func(actx context.Context) (err error) {
+		id, err = b.Backend.Pick(actx, c, r)
+		return err
+	})
+	return id, err
+}
 
 // safeCall invokes fn and converts a panic — an injected PanicRate
 // fault, or a poisoned point reaching a user Space/Family callback —
@@ -133,77 +183,67 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// callShard runs one backend operation for shard j under the resilience
-// policy: health-registry gate, per-attempt deadline, bounded retries
-// with jittered backoff, panic containment, and unhealthy-marking on
-// budget exhaustion. A nil return means the operation succeeded on some
+// call runs one backend operation under the resilience policy:
+// health-registry gate, per-attempt deadline, bounded retries with
+// jittered backoff, panic containment, and unhealthy-marking on budget
+// exhaustion. A nil return means the operation succeeded on some
 // attempt; any error is a *ShardError carrying the final cause. Parent
 // cancellation is surfaced immediately and does NOT mark the shard
 // unhealthy — an impatient caller is not evidence against the shard.
 //
-// Telemetry: the whole call (retries and backoff included) lands in the
-// per-(shard, op) latency histogram, retries and backoff sleeps in
-// their counters, and sp — the traced query's span for this op, nil for
-// the untraced 1-in-N complement — collects retry and fail-fast
-// annotations. All of it is observational: no randomness, no
-// allocations, no-op without a registry.
+// Retries and backoff sleeps land in their counters, and on a traced
+// query the op's span (c.sp, opened by the telemetry layer above)
+// collects the retry and fail-fast annotations. All of it is
+// observational: no randomness from the query stream, no allocations,
+// no-op without a registry.
 //
 //fairnn:noalloc
-func (s *Sharded[P]) callShard(ctx context.Context, ses *session[P], j int, op string, opIdx int, opSalt uint64, sp *obs.Span, fn func(context.Context) error) error {
-	m := s.met
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	if !s.health.allow(j) {
-		m.opFailed(j, opIdx, time.Since(t0))
-		if sp != nil {
-			sp.Note("health gate: shard down, failing fast")
+func (b *resilient[P]) call(ctx context.Context, c *slot[P], op int, fn func(context.Context) error) error {
+	j := b.shard
+	if !b.health.allow(j) {
+		if c.sp != nil {
+			c.sp.Note("health gate: shard down, failing fast")
 		}
-		return &ShardError{Shard: j, Op: op, Err: ErrShardDown} //fairnn:allocok cold failure path: shard already marked down
+		return &ShardError{Shard: j, Op: opNames[op], Err: ErrShardDown} //fairnn:allocok cold failure path: shard already marked down
 	}
 	var br rng.Source
 	brSeeded := false
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		actx, cancel := ctx, context.CancelFunc(nil)
-		if s.res.Deadline > 0 {
-			actx, cancel = context.WithTimeout(ctx, s.res.Deadline)
+		if b.res.Deadline > 0 {
+			actx, cancel = context.WithTimeout(ctx, b.res.Deadline)
 		}
 		err := safeCall(actx, fn)
 		if cancel != nil {
 			cancel()
 		}
 		if err == nil {
-			m.opOK(j, opIdx, time.Since(t0))
 			return nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			m.opFailed(j, opIdx, time.Since(t0))
-			return &ShardError{Shard: j, Op: op, Err: ctx.Err()}
+			return &ShardError{Shard: j, Op: opNames[op], Err: ctx.Err()}
 		}
-		if attempt >= s.res.Retries {
+		if attempt >= b.res.Retries {
 			break
 		}
-		m.retried(j, opIdx)
-		if sp != nil {
-			sp.Retry()
+		b.met.retried(j, op)
+		if c.sp != nil {
+			c.sp.Retry()
 		}
 		if !brSeeded {
-			br.Seed(rng.Mix64(ses.boSeed ^ uint64(j)<<20 ^ opSalt))
+			br.Seed(rng.Mix64(c.ses.boSeed ^ uint64(j)<<20 ^ opSalts[op]))
 			brSeeded = true
 		}
-		if d := backoffDelay(&br, s.res.BackoffBase, s.res.BackoffMax, attempt); d > 0 {
-			m.backoff(d)
+		if d := backoffDelay(&br, b.res.BackoffBase, b.res.BackoffMax, attempt); d > 0 {
+			b.met.backoff(d)
 			if sleepCtx(ctx, d) != nil {
-				m.opFailed(j, opIdx, time.Since(t0))
-				return &ShardError{Shard: j, Op: op, Err: ctx.Err()}
+				return &ShardError{Shard: j, Op: opNames[op], Err: ctx.Err()}
 			}
 		}
 	}
-	s.health.fail(j)
-	s.met.wentDown()
-	m.opFailed(j, opIdx, time.Since(t0))
-	return &ShardError{Shard: j, Op: op, Err: lastErr} //fairnn:allocok cold failure path: retries exhausted
+	b.health.fail(j)
+	b.met.wentDown()
+	return &ShardError{Shard: j, Op: opNames[op], Err: lastErr} //fairnn:allocok cold failure path: retries exhausted
 }

@@ -392,12 +392,12 @@ func TestDegradedAllShardsLost(t *testing.T) {
 // the stack captured — not a process crash, not a wedged WaitGroup.
 func TestBuildPanicTypedError(t *testing.T) {
 	// paramsFor panicking for one shard: shard-scoped attribution.
-	_, err := Build[int](intSpace(), allCollide{}, func(n int) lsh.Params {
+	_, err := BuildConfig[int](intSpace(), allCollide{}, func(n int) lsh.Params {
 		if n != 64 { // shards 1 and 2 under this split; shard 0 has 64
 			panic("paramsFor poisoned")
 		}
 		return lsh.Params{K: 1, L: 1}
-	}, lineDataset(96), 9, core.IndependentOptions{}, 3, rangePart{cut: 64}, 7)
+	}, lineDataset(96), 9, core.IndependentOptions{}, Config{Shards: 3, Partitioner: rangePart{cut: 64}, Seed: 7})
 	var be *core.BuildError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *core.BuildError", err)
@@ -412,7 +412,7 @@ func TestBuildPanicTypedError(t *testing.T) {
 
 	// A poisoned point panicking inside the signature pass: point-scoped
 	// attribution on the owning shard.
-	_, err = Build[int](intSpace(), poisonFamily{bad: 42}, constParams(lsh.Params{K: 1, L: 1}), lineDataset(96), 9, core.IndependentOptions{}, 2, RoundRobin{}, 7)
+	_, err = BuildConfig[int](intSpace(), poisonFamily{bad: 42}, constParams(lsh.Params{K: 1, L: 1}), lineDataset(96), 9, core.IndependentOptions{}, Config{Shards: 2, Partitioner: RoundRobin{}, Seed: 7})
 	be = nil
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *core.BuildError", err)

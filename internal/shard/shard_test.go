@@ -12,6 +12,7 @@ import (
 
 	"fairnn/internal/core"
 	"fairnn/internal/lsh"
+	"fairnn/internal/obs"
 	"fairnn/internal/rng"
 	"fairnn/internal/stats"
 )
@@ -86,7 +87,7 @@ func (p rangePart) Assign(i, _, shards int) int {
 
 func buildLine(t *testing.T, n int, radius float64, shards int, part Partitioner, seed uint64) *Sharded[int] {
 	t.Helper()
-	s, err := Build[int](intSpace(), allCollide{}, constParams(lsh.Params{K: 1, L: 1}), lineDataset(n), radius, core.IndependentOptions{}, shards, part, seed)
+	s, err := BuildConfig[int](intSpace(), allCollide{}, constParams(lsh.Params{K: 1, L: 1}), lineDataset(n), radius, core.IndependentOptions{}, Config{Shards: shards, Partitioner: part, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestShardedUniformChiSquared(t *testing.T) {
 	for name, mk := range parts {
 		for _, S := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/S=%d", name, S), func(t *testing.T) {
-				s, err := Build[int](intSpace(), allCollide{}, constParams(lsh.Params{K: 1, L: 1}), lineDataset(n), ballSize-1, core.IndependentOptions{}, S, mk(S), 400+uint64(S))
+				s, err := BuildConfig[int](intSpace(), allCollide{}, constParams(lsh.Params{K: 1, L: 1}), lineDataset(n), ballSize-1, core.IndependentOptions{}, Config{Shards: S, Partitioner: mk(S), Seed: 400 + uint64(S)})
 				if err != nil {
 					t.Skipf("partition %s at S=%d: %v", name, S, err)
 				}
@@ -160,7 +161,7 @@ func TestShardedSmallShardNotStarved(t *testing.T) {
 	// other 60; SigmaBudget=2 forces a halving every other round, so
 	// shard 0 reaches k=1 while shard 1 still has many periods left.
 	opts := core.IndependentOptions{SigmaBudget: 2}
-	s, err := Build[int](intSpace(), allCollide{}, constParams(lsh.Params{K: 1, L: 1}), lineDataset(64), ballSize-1, opts, 2, rangePart{cut: 4}, 977)
+	s, err := BuildConfig[int](intSpace(), allCollide{}, constParams(lsh.Params{K: 1, L: 1}), lineDataset(64), ballSize-1, opts, Config{Shards: 2, Partitioner: rangePart{cut: 4}, Seed: 977})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestShardedMatchesUnshardedDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := Build[int](intSpace(), modFamily{}, constParams(params), lineDataset(n), radius, core.IndependentOptions{}, 1, RoundRobin{}, seed)
+	sh, err := BuildConfig[int](intSpace(), modFamily{}, constParams(params), lineDataset(n), radius, core.IndependentOptions{}, Config{Shards: 1, Partitioner: RoundRobin{}, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestShardedContextCancel(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	pts := lineDataset(16)
 	mk := func(shards int, part Partitioner, pts []int) error {
-		_, err := Build[int](intSpace(), allCollide{}, constParams(lsh.Params{K: 1, L: 1}), pts, 5, core.IndependentOptions{}, shards, part, 1)
+		_, err := BuildConfig[int](intSpace(), allCollide{}, constParams(lsh.Params{K: 1, L: 1}), pts, 5, core.IndependentOptions{}, Config{Shards: shards, Partitioner: part, Seed: 1})
 		return err
 	}
 	if err := mk(0, RoundRobin{}, pts); err == nil {
@@ -453,7 +454,7 @@ func TestShardedIntrospection(t *testing.T) {
 func TestShardedConcurrentStress(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const ballSize = 10
-	s, err := Build[int](intSpace(), modFamily{}, constParams(lsh.Params{K: 1, L: 4}), lineDataset(128), ballSize-1, core.IndependentOptions{}, 4, RoundRobin{}, 941)
+	s, err := BuildConfig[int](intSpace(), modFamily{}, constParams(lsh.Params{K: 1, L: 4}), lineDataset(128), ballSize-1, core.IndependentOptions{}, Config{Shards: 4, Partitioner: RoundRobin{}, Seed: 941})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,26 +497,41 @@ func TestShardedConcurrentStress(t *testing.T) {
 }
 
 // TestShardedZeroAllocs extends the library's headline perf contract to
-// the sharded path: after warm-up, steady-state Sample across a 4-shard
-// structure allocates nothing — sessions, plans and per-shard queriers
-// are all pooled.
+// the sharded path: after warm-up, steady-state Sample and SampleKInto
+// across a 4-shard structure allocate nothing — sessions, plans and
+// per-shard queriers are all pooled — on every stack a build composes
+// without a resilience policy: the bare base, the telemetry layer, and
+// telemetry with trace sampling on untraced queries.
 func TestShardedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race")
 	}
-	s := buildLine(t, 64, 7, 4, RoundRobin{}, 953)
-	for i := 0; i < 50; i++ {
-		s.Sample(0, nil)
-	}
-	if n := testing.AllocsPerRun(200, func() { s.Sample(0, nil) }); n != 0 {
-		t.Errorf("Sharded.Sample allocs/op = %v, want 0", n)
-	}
-	dst := make([]int32, 0, 32)
-	for i := 0; i < 20; i++ {
-		dst = s.SampleKInto(0, 16, dst, nil)
-	}
-	if n := testing.AllocsPerRun(100, func() { dst = s.SampleKInto(0, 16, dst, nil) }); n != 0 {
-		t.Errorf("Sharded.SampleKInto allocs/op = %v, want 0", n)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{}},
+		{"obs", Config{Obs: obs.NewRegistry()}},
+		{"obs+trace", Config{Obs: obs.NewRegistry(), TraceEveryN: 1 << 20}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Shards, cfg.Partitioner, cfg.Seed = 4, RoundRobin{}, 953
+			s := buildLineCfg(t, 64, 7, cfg)
+			for i := 0; i < 50; i++ {
+				s.Sample(0, nil)
+			}
+			if n := testing.AllocsPerRun(200, func() { s.Sample(0, nil) }); n != 0 {
+				t.Errorf("Sharded.Sample allocs/op = %v, want 0", n)
+			}
+			dst := make([]int32, 0, 32)
+			for i := 0; i < 20; i++ {
+				dst = s.SampleKInto(0, 16, dst, nil)
+			}
+			if n := testing.AllocsPerRun(100, func() { dst = s.SampleKInto(0, 16, dst, nil) }); n != 0 {
+				t.Errorf("Sharded.SampleKInto allocs/op = %v, want 0", n)
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fairnn/internal/lsh"
 	"fairnn/internal/obs"
 	"fairnn/internal/rng"
+	"fairnn/internal/wire"
 )
 
 // ctxCheckRounds is the rejection-loop cancellation granularity, kept
@@ -40,18 +41,20 @@ const ctxCheckRounds = 64
 // so consecutive outputs are independent — Theorem 2 lifted to the
 // partitioned index.
 //
-// Each shard is an explicit failure domain: every per-shard operation
-// crosses the Backend seam and, when a Resilience policy (or a fault
-// injector) is configured, runs under per-attempt deadlines, bounded
-// jittered retries, panic containment, and the health registry's
-// fail-fast gate. A shard that exhausts its budget either fails the
-// query with a typed *ShardError or — in degraded mode — leaves the
-// union pool, and the same per-round arithmetic above makes every
-// accepted draw exactly uniform over the *surviving* shards' union ball
-// (the loss is reported on QueryStats.Degraded). With the policy zero
-// and no injector, queries take the direct path: no wrappers, no extra
-// randomness, no allocations — bit-identical to the pre-resilience
-// sampler.
+// Each shard is an explicit failure domain: every per-shard operation is
+// one call into the shard's Backend stack, composed once at build time
+// from the layers the configuration asks for — fault injection, the
+// Resilience policy (per-attempt deadlines, bounded jittered retries,
+// panic containment, the health registry's fail-fast gate), telemetry.
+// The draw loop is the same for every stack. A shard that exhausts its
+// budget either fails the query with a typed *ShardError or — in
+// degraded mode — leaves the union pool, and the same per-round
+// arithmetic above makes every accepted draw exactly uniform over the
+// *surviving* shards' union ball (the loss is reported on
+// QueryStats.Degraded). With the policy zero, no injector and no
+// registry, each stack is its bare in-process base: no wrappers, no
+// extra randomness, no allocations — bit-identical to the
+// pre-resilience sampler.
 //
 // All randomness of one logical query (a Sample, or all draws of one
 // SampleK or Samples stream) comes from a single stream split off the
@@ -70,7 +73,8 @@ const ctxCheckRounds = 64
 type Sharded[P any] struct {
 	shards   []*core.Independent[P]
 	backends []Backend[P]
-	toGlobal [][]int32 // per shard: local id -> global id
+	conns    []*wire.Client // per-shard connections of a Connect-ed sampler
+	toGlobal [][]int32      // per shard: local id -> global id
 	lambda   float64
 	sigma    int
 	partName string
@@ -85,14 +89,11 @@ type Sharded[P any] struct {
 	// bit-compatibility contract).
 	floorGrace int
 
-	// res is the resolved resilience policy; resOn routes queries through
-	// the resilient call path and is set when any policy field is non-zero
-	// or a fault injector is configured.
-	res   Resilience
-	resOn bool
-	// health is the per-sampler shard health registry (see health.go).
+	// res is the resolved resilience policy (its Degraded flag decides
+	// what a lost shard means); health is the per-sampler shard health
+	// registry (see health.go) the resilient layers share.
+	res    Resilience
 	health *healthRegistry
-	inj    *fault.Injector
 
 	// met is the shard-layer instrument bundle (nil without a registry —
 	// contractually invisible); trc is the sampled per-query tracer (nil
@@ -111,22 +112,17 @@ type Sharded[P any] struct {
 }
 
 // session is the pooled per-query scratch of the sharded fan-out: one
-// armed plan per shard, the query's single RNG stream, the per-worker
-// stats used by the parallel arm barrier, and the resilience scratch —
-// which shards this query has lost, their last-known estimates, the arm
-// errors, and the backoff-jitter seed (kept here so a stats-enabled bulk
-// query stays allocation-free in steady state).
+// slot per shard (its armed plan and loss record), the query's single
+// RNG stream, the per-worker stats used by the parallel arm barrier, and
+// the query-scoped state the backend layers read through their slots —
+// the backoff-jitter seed and the trace (kept here so a stats-enabled
+// bulk query stays allocation-free in steady state).
 type session[P any] struct {
-	plans []core.ShardPlan[P]
+	slots []slot[P]
 	rng   rng.Source
 	subs  []core.QueryStats
-	// dead marks shards this query has lost (arm failure or mid-draw
-	// budget exhaustion); est remembers a lost shard's per-query estimate
-	// ŝ_j when it armed before dying (-1 = unknown), errs the arm errors.
-	// All three are untouched on the plain (resilience-off) path.
-	dead   []bool
-	est    []float64
-	errs   []error
+	// lost counts the slots this query has lost.
+	lost   int
 	boSeed uint64
 	// trace is non-nil for the 1-in-N sampled queries (see obs.Tracer);
 	// the decision is a pure hash of the query seed, never a stream draw.
@@ -138,7 +134,9 @@ type session[P any] struct {
 
 // Config collects the build-time knobs of a sharded sampler beyond the
 // data itself. The zero value of every field is valid: RoundRobin
-// partitioning, zero resilience (the direct query path), no injector.
+// partitioning, zero resilience, no injector, no telemetry — each
+// shard's backend stack is then its bare in-process base. Injector,
+// Resilience and Obs each add their layer (see Backend).
 type Config struct {
 	// Shards is the shard count S (must be ≥ 1).
 	Shards int
@@ -146,30 +144,24 @@ type Config struct {
 	Partitioner Partitioner
 	// Seed derives every shard's structure seed and the query streams.
 	Seed uint64
-	// Resilience is the per-shard-call fault-tolerance policy.
+	// Resilience is the per-shard-call fault-tolerance policy; a
+	// non-zero policy adds the resilient layer.
 	Resilience Resilience
 	// Injector, when non-nil, interposes the fault-injection harness on
-	// every backend call (tests only; must be built for the same shard
-	// count).
+	// every backend call, under the resilient layer (tests only; must be
+	// built for the same shard count).
 	Injector *fault.Injector
 	// Obs, when non-nil, registers the shard-layer telemetry bundle
 	// (draw loop, per-(shard, op) backend-call latency, retries, backoff,
-	// health transitions) and records into it. A nil registry is
-	// contractually invisible: bit-identical streams, zero allocations.
+	// health transitions), records into it, and adds the observed layer
+	// outermost. A nil registry is contractually invisible: bit-identical
+	// streams, zero allocations.
 	Obs *obs.Registry
 	// TraceEveryN, with Obs set, samples roughly one query in N into the
 	// registry's tracer (structured span trees over the backend seam);
 	// 0 disables tracing. The sampling decision is a pure hash of the
 	// query seed through a derived substream — never a stream draw.
 	TraceEveryN int
-}
-
-// Build partitions points across shards with part (nil defaults to
-// RoundRobin) and constructs one Section 4 structure per shard with the
-// zero resilience policy — the historical constructor, kept as the
-// direct path's entry point. See BuildConfig for the full set of knobs.
-func Build[P any](space core.Space[P], family lsh.Family[P], paramsFor func(shardSize int) lsh.Params, points []P, radius float64, opts core.IndependentOptions, shards int, part Partitioner, seed uint64) (*Sharded[P], error) {
-	return BuildConfig(space, family, paramsFor, points, radius, opts, Config{Shards: shards, Partitioner: part, Seed: seed})
 }
 
 // BuildConfig builds a sharded sampler: points are partitioned across
@@ -224,21 +216,12 @@ func BuildConfig[P any](space core.Space[P], family lsh.Family[P], paramsFor fun
 	}
 
 	s := &Sharded[P]{
-		shards:     make([]*core.Independent[P], shards),
-		toGlobal:   toGlobal,
-		lambda:     float64(opts.Lambda),
-		sigma:      opts.SigmaBudget,
-		partName:   part.Name(),
-		size:       n,
-		floorGrace: bits.Len(uint(shards - 1)),
-		res:        cfg.Resilience.withDefaults(),
-		resOn:      cfg.Resilience.enabled() || cfg.Injector != nil,
-		inj:        cfg.Injector,
-	}
-	s.health = newHealthRegistry(shards, s.res.ProbeEvery)
-	s.met = newShardMetrics(cfg.Obs, shards)
-	if cfg.TraceEveryN > 0 {
-		s.trc = cfg.Obs.EnableTracing(cfg.TraceEveryN, traceRingCapacity)
+		shards:   make([]*core.Independent[P], shards),
+		toGlobal: toGlobal,
+		lambda:   float64(opts.Lambda),
+		sigma:    opts.SigmaBudget,
+		partName: part.Name(),
+		size:     n,
 	}
 	errs := make([]error, shards)
 	fanOut(shards, func(j int) {
@@ -263,20 +246,47 @@ func BuildConfig[P any](space core.Space[P], family lsh.Family[P], paramsFor fun
 			return nil, err
 		}
 	}
-	s.backends = make([]Backend[P], shards)
-	for j := range s.backends {
-		var b Backend[P] = &inProc[P]{d: s.shards[j]}
-		if cfg.Injector != nil {
-			b = &faultBackend[P]{next: b, inj: cfg.Injector, shard: j}
-		}
-		s.backends[j] = b
+	bases := make([]Backend[P], shards)
+	for j, d := range s.shards {
+		bases[j] = &inProc[P]{d: d}
 	}
+	s.compose(bases, cfg, false)
 	s.qseed = s.shards[0].QueryStreamSeed()
 	// One retention knob governs both pooling layers: the session pool
 	// honors the same (resolved) MaxRetainedQueriers as each shard's
 	// querier pool.
 	s.pool.SetCap(opts.Memo.Resolved().MaxRetainedQueriers)
 	return s, nil
+}
+
+// compose installs each shard's backend stack over its base and the
+// sampler state the layers share. Layers go on from the inside out —
+// faultBackend, resilient, observed — each only when configured; remote
+// forces resilient, the only layer that turns a backend's errors into
+// typed shard errors (sockets can always fail). observed goes outermost
+// so an op's recorded latency is the whole call, retries and backoff
+// included.
+func (s *Sharded[P]) compose(bases []Backend[P], cfg Config, remote bool) {
+	shards := len(bases)
+	s.floorGrace = bits.Len(uint(shards - 1))
+	s.res = cfg.Resilience.withDefaults()
+	s.health = newHealthRegistry(shards, s.res.ProbeEvery)
+	s.met = newShardMetrics(cfg.Obs, shards)
+	s.trc = cfg.Obs.EnableTracing(cfg.TraceEveryN, traceRingCapacity)
+	resil := remote || cfg.Resilience.enabled() || cfg.Injector != nil
+	s.backends = bases
+	for j, b := range bases {
+		if cfg.Injector != nil {
+			b = &faultBackend[P]{Backend: b, inj: cfg.Injector, shard: j}
+		}
+		if resil {
+			b = &resilient[P]{Backend: b, res: s.res, health: s.health, met: s.met, shard: j}
+		}
+		if s.met != nil {
+			b = &observed[P]{Backend: b, met: s.met, shard: j}
+		}
+		s.backends[j] = b
+	}
 }
 
 // shardBuildPanic wraps a panic recovered from a shard-build worker into
@@ -331,7 +341,7 @@ func (s *Sharded[P]) Lambda() int { return int(s.lambda) }
 
 // ResiliencePolicy returns the resolved resilience policy the sampler
 // was built with (defaults filled in; the zero policy resolves its
-// backoff/probe fields but still disables the resilient path).
+// backoff/probe fields but still adds no resilient layer in process).
 func (s *Sharded[P]) ResiliencePolicy() Resilience { return s.res }
 
 // Point returns the indexed point with the given global id. It is only
@@ -376,27 +386,22 @@ func (s *Sharded[P]) RetainedScratchBytes() int {
 // across workers when parallel is set (the SampleK bulk path; arming
 // draws no randomness, so scheduling cannot change any output). Per-shard
 // cost counters land in st; st.ShardEstimates records each ŝ_j and
-// st.SketchEstimate their sum. Under a resilience policy each arm runs
-// through callShard; an error return means the query cannot proceed (a
-// *ShardError with degradation off, or ErrDegraded when every shard was
-// lost) and no session is retained.
+// st.SketchEstimate their sum. An error return means the query cannot
+// proceed (a *ShardError with degradation off, or ErrDegraded when every
+// shard was lost) and no session is retained.
 //
 //fairnn:noalloc
 func (s *Sharded[P]) begin(ctx context.Context, q P, st *core.QueryStats, parallel bool) (*session[P], error) {
 	ses := s.pool.Get()
 	if ses == nil {
-		n := len(s.backends)
-		ses = &session[P]{
-			plans: make([]core.ShardPlan[P], n),
-			dead:  make([]bool, n),
-			est:   make([]float64, n),
-			errs:  make([]error, n),
+		ses = &session[P]{slots: make([]slot[P], len(s.backends))}
+		for j := range ses.slots {
+			ses.slots[j].ses = ses
 		}
 	}
 	seed := s.qseed ^ rng.Mix64(s.qctr.Add(1))
 	ses.rng.Seed(seed)
 	ses.boSeed = rng.Mix64(seed ^ 0xb0ff5eed)
-	ses.trace = nil
 	if t := s.trc; t != nil && t.ShouldSample(seed) {
 		// The 1-in-N traced path may allocate; the decision above is a
 		// pure hash of the seed, so untraced queries are untouched.
@@ -406,13 +411,6 @@ func (s *Sharded[P]) begin(ctx context.Context, q P, st *core.QueryStats, parall
 		st.Degraded.LostShards = st.Degraded.LostShards[:0]
 		st.Degraded.LostPoints = 0
 		st.Degraded.Coverage = 0
-	}
-	if s.resOn {
-		for j := range ses.dead {
-			ses.dead[j] = false
-			ses.est[j] = -1
-			ses.errs[j] = nil
-		}
 	}
 	if parallel && runtime.GOMAXPROCS(0) > 1 && len(s.backends) > 1 {
 		// QueryStats is not safe for concurrent mutation: workers fill
@@ -439,119 +437,82 @@ func (s *Sharded[P]) begin(ctx context.Context, q P, st *core.QueryStats, parall
 			st.Merge(sub[j])
 		}
 	} else {
-		for j := range ses.plans {
+		for j := range ses.slots {
 			s.armShard(ctx, ses, j, q, st)
 		}
 	}
-	if s.resOn {
-		if err := s.armVerdict(ses); err != nil {
-			s.release(ses)
-			return nil, err
-		}
+	if err := s.armVerdict(ses); err != nil {
+		s.release(ses)
+		return nil, err
 	}
 	if st != nil {
-		if cap(st.ShardRounds) < len(ses.plans) {
-			st.ShardRounds = make([]int, len(ses.plans))
+		if cap(st.ShardRounds) < len(ses.slots) {
+			st.ShardRounds = make([]int, len(ses.slots))
 		} else {
-			st.ShardRounds = st.ShardRounds[:len(ses.plans)]
+			st.ShardRounds = st.ShardRounds[:len(ses.slots)]
 			clear(st.ShardRounds)
 		}
-		if cap(st.ShardEstimates) < len(ses.plans) {
-			st.ShardEstimates = make([]float64, len(ses.plans))
+		if cap(st.ShardEstimates) < len(ses.slots) {
+			st.ShardEstimates = make([]float64, len(ses.slots))
 		} else {
-			st.ShardEstimates = st.ShardEstimates[:len(ses.plans)]
+			st.ShardEstimates = st.ShardEstimates[:len(ses.slots)]
 		}
 		total := 0.0
-		for j := range ses.plans {
-			st.ShardEstimates[j] = ses.plans[j].Estimate()
-			total += ses.plans[j].Estimate()
+		for j := range ses.slots {
+			st.ShardEstimates[j] = ses.slots[j].plan.Estimate()
+			total += ses.slots[j].plan.Estimate()
 		}
 		st.SketchEstimate = total
-		if s.resOn {
+		if ses.lost > 0 {
 			s.noteDegraded(ses, st)
 		}
 	}
 	return ses, nil
 }
 
-// armShard arms shard j's plan: a direct backend call on the plain path,
-// or callShard's deadline/retry/health envelope under a policy. A shard
-// that cannot be armed is recorded dead in the session with its error;
-// the verdict (fail the query vs degrade) is taken by the caller after
-// all shards report, so the parallel fan-out never short-circuits.
+// armShard arms shard j's plan with one call into its backend stack. A
+// shard that cannot be armed is recorded lost in its slot with its
+// error; the verdict (fail the query vs degrade) is taken by the caller
+// after all shards report, so the parallel fan-out never short-circuits.
 //
 //fairnn:noalloc
 func (s *Sharded[P]) armShard(ctx context.Context, ses *session[P], j int, q P, st *core.QueryStats) {
-	var sp *obs.Span
-	if ses.trace != nil {
-		sp = ses.trace.Begin("arm", j)
-	}
-	if !s.resOn {
-		m := s.met
-		if m == nil && sp == nil {
-			_ = s.backends[j].Arm(ctx, &ses.plans[j], q, st)
-			return
-		}
-		t0 := time.Now()
-		err := s.backends[j].Arm(ctx, &ses.plans[j], q, st)
-		m.opOK(j, opArm, time.Since(t0))
-		if sp != nil {
-			sp.Done(err)
-		}
-		return
-	}
-	//fairnn:allocok resilience envelope: the resOn path trades one closure per call for panic/deadline containment
-	err := s.callShard(ctx, ses, j, "arm", opArm, saltArm, sp, func(actx context.Context) error {
-		// Each attempt re-arms from a clean plan: a prior attempt may
-		// have panicked or timed out partway through arming.
-		ses.plans[j].Abort()
-		return s.backends[j].Arm(actx, &ses.plans[j], q, st)
-	})
-	if sp != nil {
-		sp.Done(err)
-	}
-	if err != nil {
-		ses.plans[j].Abort()
-		ses.dead[j] = true
-		ses.errs[j] = err
-		return
-	}
-	ses.est[j] = ses.plans[j].Estimate()
-	if s.health.ok(j, ses.est[j]) {
-		s.met.readmitted()
+	c := &ses.slots[j]
+	if err := s.backends[j].Arm(ctx, c, q, st); err != nil {
+		c.plan.Abort()
+		c.lost, c.est, c.err = true, -1, err
 	}
 }
 
-// armVerdict decides what an arm round with failures means: with
-// degradation off, the first shard's error fails the query; with it on,
-// the query proceeds over the survivors unless none remain.
+// armVerdict counts the shards the arm round lost and decides what the
+// losses mean: with degradation off, the first lost shard's error fails
+// the query; with it on, the query proceeds over the survivors unless
+// none remain.
 //
 //fairnn:noalloc
 func (s *Sharded[P]) armVerdict(ses *session[P]) error {
 	var first error
-	live := false
-	for j := range ses.dead {
-		if ses.dead[j] {
-			if first == nil {
-				first = ses.errs[j]
+	ses.lost = 0
+	for j := range ses.slots {
+		if c := &ses.slots[j]; c.lost {
+			if ses.lost == 0 {
+				first = c.err
 			}
-		} else {
-			live = true
+			ses.lost++
 		}
 	}
-	if first == nil {
+	switch {
+	case ses.lost == 0:
 		return nil
-	}
-	if !s.res.Degraded {
+	case !s.res.Degraded:
 		return first
-	}
-	if !live {
+	case ses.lost == len(ses.slots):
 		return ErrDegraded
 	}
 	return nil
 }
 
-// noteDegraded refreshes st.Degraded from the session's dead set: the
+// noteDegraded refreshes st.Degraded from the session's lost slots: the
 // lost shards, their total point count, and the coverage fraction — the
 // survivors' summed per-query estimates over the estimated union total,
 // where a lost shard contributes its own per-query ŝ_j when it armed
@@ -566,26 +527,23 @@ func (s *Sharded[P]) noteDegraded(ses *session[P], st *core.QueryStats) {
 	st.Degraded.LostShards = st.Degraded.LostShards[:0]
 	liveEst, lostEst := 0.0, 0.0
 	livePts, lostPts := 0, 0
-	for j := range ses.dead {
-		if ses.dead[j] {
+	for j := range ses.slots {
+		if c := &ses.slots[j]; c.lost {
 			st.Degraded.LostShards = append(st.Degraded.LostShards, j)
 			lostPts += s.backends[j].N()
 		} else {
-			liveEst += ses.plans[j].Estimate()
+			liveEst += c.plan.Estimate()
 			livePts += s.backends[j].N()
 		}
 	}
 	st.Degraded.LostPoints = lostPts
-	if len(st.Degraded.LostShards) == 0 {
-		st.Degraded.Coverage = 0
-		return
-	}
-	for j := range ses.dead {
-		if !ses.dead[j] {
+	for j := range ses.slots {
+		c := &ses.slots[j]
+		if !c.lost {
 			continue
 		}
-		if ses.est[j] >= 0 {
-			lostEst += ses.est[j]
+		if c.est >= 0 {
+			lostEst += c.est
 		} else if e, ok := s.health.lastEstimate(j); ok {
 			lostEst += e
 		} else if livePts > 0 {
@@ -599,70 +557,43 @@ func (s *Sharded[P]) noteDegraded(ses *session[P], st *core.QueryStats) {
 	}
 }
 
-// loseShard handles a shard whose budget was exhausted mid-draw. With
-// degradation off the cause fails the query. In degraded mode the shard
-// leaves the union pool — its per-query estimate is remembered for the
-// coverage fraction, its plan aborted so the stale segment weight cannot
-// re-enter the pool — and the draw continues over the survivors: the
-// returned total is the surviving pool's segment count. Losing the last
-// live shard returns ErrDegraded.
+// loseShard handles a shard whose op failed mid-draw (its budget was
+// exhausted). With degradation off the cause fails the query. In
+// degraded mode the shard leaves the union pool — noted on the failed
+// op's span, its per-query estimate remembered for the coverage
+// fraction, its plan aborted so the stale segment weight cannot re-enter
+// the pool — and the draw continues over the survivors: the returned
+// total is the surviving pool's segment count. Losing the last live
+// shard returns ErrDegraded.
 //
 //fairnn:noalloc
 func (s *Sharded[P]) loseShard(ses *session[P], j int, st *core.QueryStats, cause error) (int, error) {
 	if !s.res.Degraded {
 		return 0, cause
 	}
-	if !ses.dead[j] {
-		ses.dead[j] = true
-		ses.est[j] = ses.plans[j].Estimate()
-		ses.plans[j].Abort()
-		s.met.lost()
+	c := &ses.slots[j]
+	if c.sp != nil {
+		c.sp.Note("shard lost: leaving union pool")
 	}
+	c.lost, c.est = true, c.plan.Estimate()
+	c.plan.Abort()
+	ses.lost++
+	s.met.lost()
 	s.noteDegraded(ses, st)
-	total := 0
-	live := false
-	for i := range ses.plans {
-		if !ses.dead[i] {
-			live = true
-			total += ses.plans[i].Segments()
-		}
-	}
-	if !live {
+	if ses.lost == len(ses.slots) {
 		return 0, ErrDegraded
+	}
+	// Lost plans are aborted (zero segments), so the sum is the
+	// survivors'.
+	total := 0
+	for i := range ses.slots {
+		total += ses.slots[i].plan.Segments()
 	}
 	return total, nil
 }
 
-// segmentNearResilient is SegmentNear through callShard's envelope.
-//
-//fairnn:noalloc
-func (s *Sharded[P]) segmentNearResilient(ctx context.Context, ses *session[P], j, h int, st *core.QueryStats, sp *obs.Span) (int, error) {
-	n := 0
-	//fairnn:allocok resilience envelope: the resOn path trades one closure per call for panic/deadline containment
-	err := s.callShard(ctx, ses, j, "segment", opSegment, saltSegment, sp, func(actx context.Context) error {
-		v, err := s.backends[j].SegmentNear(actx, &ses.plans[j], h, st)
-		n = v
-		return err
-	})
-	return n, err
-}
-
-// pickResilient is Pick through callShard's envelope.
-//
-//fairnn:noalloc
-func (s *Sharded[P]) pickResilient(ctx context.Context, ses *session[P], j int, sp *obs.Span) (int32, error) {
-	var id int32
-	//fairnn:allocok resilience envelope: the resOn path trades one closure per call for panic/deadline containment
-	err := s.callShard(ctx, ses, j, "pick", opPick, saltPick, sp, func(actx context.Context) error {
-		v, err := s.backends[j].Pick(actx, &ses.plans[j], &ses.rng)
-		id = v
-		return err
-	})
-	return id, err
-}
-
-// release closes every plan (returning the shards' pooled queriers) and
-// recycles the session.
+// release closes every plan (returning the shards' pooled queriers),
+// clears the per-query slot state, and recycles the session.
 //
 //fairnn:noalloc
 func (s *Sharded[P]) release(ses *session[P]) {
@@ -670,8 +601,10 @@ func (s *Sharded[P]) release(ses *session[P]) {
 		s.trc.Publish(ses.trace)
 		ses.trace = nil
 	}
-	for j := range ses.plans {
-		ses.plans[j].Close()
+	for j := range ses.slots {
+		c := &ses.slots[j]
+		c.plan.Close()
+		c.sp, c.lost, c.err = nil, false, nil
 	}
 	s.pool.Put(ses)
 }
@@ -696,28 +629,12 @@ func (s *Sharded[P]) drawResolved(ctx context.Context, ses *session[P], st *core
 	}
 	preRounds, preHits := st.Rounds, st.ScoreCacheHits
 	preBatch, preEvals := st.BatchScored, st.ScoreEvals
-	degraded := false
-	if s.resOn {
-		for j := range ses.dead {
-			if ses.dead[j] {
-				degraded = true
-				break
-			}
-		}
-	}
 	t0 := time.Now()
 	id, ok, err := s.drawOnce(ctx, ses, st)
-	if !degraded && s.resOn {
-		// A shard lost during this draw degrades it too.
-		for j := range ses.dead {
-			if ses.dead[j] {
-				degraded = true
-				break
-			}
-		}
-	}
+	// Losses only accumulate, so a draw is degraded iff the query has
+	// lost a shard by its end.
 	m.draw.ObserveDraw(time.Since(t0), ok, st.Rounds-preRounds, st.ScoreCacheHits-preHits,
-		st.BatchScored-preBatch, st.ScoreEvals-preEvals, degraded)
+		st.BatchScored-preBatch, st.ScoreEvals-preEvals, ses.lost > 0)
 	return id, ok, err
 }
 
@@ -725,27 +642,23 @@ func (s *Sharded[P]) drawResolved(ctx context.Context, ses *session[P], st *core
 // session. The round structure — counter, ctx poll cadence, segment
 // pick, Σ-budget halving order, acceptance clamp — mirrors the unsharded
 // sampleResolved exactly, so with S=1 the randomness is spent call for
-// call on the same stream. A non-nil error reports a shard failure the
-// policy could not absorb (degradation off, or the last live shard
-// lost); ok=false with a nil error is the ordinary no-sample outcome.
+// call on the same stream. Each segment report and pick is one call into
+// the shard's backend stack, and every error it returns goes through
+// loseShard. A non-nil error reports a shard failure the policy could
+// not absorb (degradation off, or the last live shard lost); ok=false
+// with a nil error is the ordinary no-sample outcome.
 //
 //fairnn:noalloc
 func (s *Sharded[P]) drawOnce(ctx context.Context, ses *session[P], st *core.QueryStats) (int32, bool, error) {
-	for j := range ses.plans {
-		ses.plans[j].ResetDraw()
-	}
 	total := 0
-	for j := range ses.plans {
-		total += ses.plans[j].Segments()
+	for j := range ses.slots {
+		p := &ses.slots[j].plan
+		p.ResetDraw()
+		total += p.Segments()
 	}
 	if st != nil {
 		st.ShardChosen = -1
-	}
-	if total == 0 {
-		if st != nil {
-			st.Found = false
-		}
-		return 0, false, nil
+		st.Found = false
 	}
 	sigmaFail := 0
 	grace := s.floorGrace
@@ -755,54 +668,28 @@ func (s *Sharded[P]) drawOnce(ctx context.Context, ses *session[P], st *core.Que
 		}
 		rounds++
 		if rounds%ctxCheckRounds == 0 && ctx.Err() != nil {
-			if st != nil {
-				st.Found = false
-			}
 			return 0, false, nil
 		}
 		// One uniform pick over the union segment pool = shard j with
 		// probability k_j/Σk, then a uniform segment h inside shard j.
 		u := ses.rng.Intn(total)
 		j := 0
-		for u >= ses.plans[j].Segments() {
-			u -= ses.plans[j].Segments()
+		for u >= ses.slots[j].plan.Segments() {
+			u -= ses.slots[j].plan.Segments()
 			j++
 		}
 		if st != nil && j < len(st.ShardRounds) {
 			st.ShardRounds[j]++
 		}
-		var sp *obs.Span
-		if ses.trace != nil {
-			sp = ses.trace.Begin("segment", j)
-		}
-		var lqh int
-		if s.resOn {
-			n, err := s.segmentNearResilient(ctx, ses, j, u, st, sp)
-			if err != nil {
-				if sp != nil {
-					sp.Note("shard lost: leaving union pool")
-					sp.Done(err)
-				}
-				total, err = s.loseShard(ses, j, st, err)
-				if err != nil {
-					if st != nil {
-						st.Found = false
-					}
-					return 0, false, err
-				}
-				if total == 0 {
-					break
-				}
-				// The failed round spent no Σ budget: the call reported
-				// nothing about near density, so sigmaFail is untouched.
-				continue
+		c := &ses.slots[j]
+		lqh, err := s.backends[j].SegmentNear(ctx, c, u, st)
+		if err != nil {
+			// The failed round spent no Σ budget: the call reported
+			// nothing about near density, so sigmaFail is untouched.
+			if total, err = s.loseShard(ses, j, st, err); err != nil {
+				return 0, false, err
 			}
-			lqh = n
-		} else {
-			lqh, _ = s.backends[j].SegmentNear(ctx, &ses.plans[j], u, st)
-		}
-		if sp != nil {
-			sp.Done(nil)
+			continue
 		}
 		sigmaFail++
 		if sigmaFail >= s.sigma {
@@ -822,27 +709,26 @@ func (s *Sharded[P]) drawOnce(ctx context.Context, ses *session[P], st *core.Que
 			//     — this is where the unsharded loop's k<S tail periods
 			//     are recovered).
 			maxSeg := 0
-			for i := range ses.plans {
-				if k := ses.plans[i].Segments(); k > maxSeg {
+			for i := range ses.slots {
+				if k := ses.slots[i].plan.Segments(); k > maxSeg {
 					maxSeg = k
 				}
 			}
 			switch {
 			case maxSeg > 1:
-				for i := range ses.plans {
-					if ses.plans[i].Segments() > 1 {
-						ses.plans[i].Halve()
-					}
-				}
 				total = 0
-				for i := range ses.plans {
-					total += ses.plans[i].Segments()
+				for i := range ses.slots {
+					p := &ses.slots[i].plan
+					if p.Segments() > 1 {
+						p.Halve()
+					}
+					total += p.Segments()
 				}
 			case grace > 0:
 				grace--
 			default:
-				for i := range ses.plans {
-					ses.plans[i].Halve()
+				for i := range ses.slots {
+					ses.slots[i].plan.Halve()
 				}
 				total = 0
 			}
@@ -859,36 +745,12 @@ func (s *Sharded[P]) drawOnce(ctx context.Context, ses *session[P], st *core.Que
 			p = 1
 		}
 		if ses.rng.Bernoulli(p) {
-			var psp *obs.Span
-			if ses.trace != nil {
-				psp = ses.trace.Begin("pick", j)
-			}
-			var local int32
-			if s.resOn {
-				v, err := s.pickResilient(ctx, ses, j, psp)
-				if err != nil {
-					if psp != nil {
-						psp.Note("shard lost: leaving union pool")
-						psp.Done(err)
-					}
-					total, err = s.loseShard(ses, j, st, err)
-					if err != nil {
-						if st != nil {
-							st.Found = false
-						}
-						return 0, false, err
-					}
-					if total == 0 {
-						break
-					}
-					continue
+			local, err := s.backends[j].Pick(ctx, c, &ses.rng)
+			if err != nil {
+				if total, err = s.loseShard(ses, j, st, err); err != nil {
+					return 0, false, err
 				}
-				local = v
-			} else {
-				local, _ = s.backends[j].Pick(ctx, &ses.plans[j], &ses.rng)
-			}
-			if psp != nil {
-				psp.Done(nil)
+				continue
 			}
 			if st != nil {
 				st.FinalK = total
@@ -897,9 +759,6 @@ func (s *Sharded[P]) drawOnce(ctx context.Context, ses *session[P], st *core.Que
 			}
 			return s.toGlobal[j][local], true, nil
 		}
-	}
-	if st != nil {
-		st.Found = false
 	}
 	return 0, false, nil
 }
