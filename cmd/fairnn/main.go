@@ -1,9 +1,10 @@
 // Command fairnn regenerates every figure of the paper's experimental
-// evaluation (Section 6) as text tables and optional CSV files.
+// evaluation (Section 6) as text tables and optional CSV files; validate,
+// scaling and chaos check uniformity, query cost and resilience beyond it.
 //
 // Usage:
 //
-//	fairnn -exp fig1|fig2|fig3|q3|all [-scale small|paper] [-csv dir] [-seed n] [-memo auto|dense|compact] [-shards s]
+//	fairnn -exp fig1|fig2|fig3|q3|validate|scaling|chaos|all [-scale small|paper] [-csv dir] [-seed n] [-memo auto|dense|compact] [-shards s]
 //
 // The "paper" scale matches the publication protocol (50 queries, 26 000
 // repetitions, full-size datasets) and takes minutes; "small" (default)
@@ -38,12 +39,12 @@ func parseMemo(s string) (fairnn.MemoOptions, error) {
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment to run: fig1 | fig2 | fig3 | q3 | validate | scaling | chaos | serve | all")
+		exp    = flag.String("exp", "all", "experiment to run: fig1 | fig2 | fig3 | q3 | validate | scaling | chaos | all")
 		scale  = flag.String("scale", "small", "small (fast, same shapes) or paper (full protocol)")
 		csvDir = flag.String("csv", "", "directory to also write CSV files into (optional)")
 		seed   = flag.Uint64("seed", 0, "override the experiment seed (0 keeps defaults)")
 		memoF  = flag.String("memo", "auto", "per-query memo backend: auto | dense | compact")
-		shards = flag.Int("shards", 0, "shard count for the validate/scaling experiments (0 = unsharded only)")
+		shards = flag.Int("shards", 0, "shard count for validate/scaling (0 = unsharded only) and chaos (0 = default)")
 	)
 	flag.Parse()
 
@@ -75,8 +76,6 @@ func main() {
 		runScaling(paper, *seed, memo, *shards)
 	case "chaos":
 		runChaos(paper, *seed, *shards)
-	case "serve":
-		runServe(paper, *seed, *shards)
 	case "all":
 		runFig1(paper, *csvDir, *seed)
 		runFig2(paper, *csvDir, *seed)
@@ -85,7 +84,6 @@ func main() {
 		runValidate(paper, *seed, memo, *shards)
 		runScaling(paper, *seed, memo, *shards)
 		runChaos(paper, *seed, *shards)
-		runServe(paper, *seed, *shards)
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
@@ -305,8 +303,8 @@ func runChaos(paper bool, seed uint64, shards int) {
 	if err := res.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
-	// The network half of the chaos schedule: seeded process-level
-	// kill/restart cycles against live loopback servers.
+	// The network half: seeded kill/restart cycles against live loopback
+	// servers, with concurrent callers in flight across each kill.
 	scfg := experiments.DefaultServeChaos()
 	if paper {
 		scfg.Cycles *= 2
@@ -323,30 +321,6 @@ func runChaos(paper bool, seed uint64, shards int) {
 	}
 	fmt.Println()
 	if err := sres.Render(os.Stdout); err != nil {
-		fatal(err)
-	}
-}
-
-// runServe drives the network serving load test: loopback wire servers,
-// a Connect-assembled sampler, concurrent clients, and a mid-run
-// kill/restart (see experiments.RunServe). "paper" scale quadruples the
-// per-client query count; -shards overrides the fleet size when > 0.
-func runServe(paper bool, seed uint64, shards int) {
-	cfg := experiments.DefaultServe()
-	if paper {
-		cfg.QueriesPerClient *= 4
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	if shards > 0 {
-		cfg.Shards = shards
-	}
-	res, err := experiments.RunServe(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if err := res.Render(os.Stdout); err != nil {
 		fatal(err)
 	}
 }

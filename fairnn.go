@@ -204,9 +204,9 @@
 // Σ budget, radius, shard index and count, point codec) at the
 // handshake, so a mis-assembled or mixed-build fleet fails loudly at
 // Connect instead of sampling from a subtly wrong distribution. The
-// fairnn command's "-exp serve" load-tests a loopback fleet end to end
-// and reports full latency histograms (p50/p90/p99/p999), throughput,
-// and the sampler's health registry over a wire endpoint of its own.
+// repository benchmark's serve-line workload (bench/) measures a
+// loopback fleet end to end, and the fairnn command's "-exp chaos" kills
+// and restarts servers under concurrent load.
 //
 // # Observability
 //
@@ -337,9 +337,8 @@
 // flips a threshold verdict, the sampler's actual contract (uniformity
 // on the ball) still holds and is pinned by the repo's chi-squared
 // stream tests. Measured on the reference box, the accelerated squared-
-// distance kernel is ~3.3× the portable one at d = 128 (see
-// BENCH_PR7.json for the full dimension sweep and the multi-core
-// throughput gauge).
+// distance kernel is ~3.3× the portable one at d = 128; the repository
+// benchmark (bench/) reports it per pair as vector.sqdist_ns.
 //
 // # Static guarantees
 //

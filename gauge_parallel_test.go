@@ -1,25 +1,21 @@
 // The multi-core throughput gauge: it drives the Section 5 vector sampler
 // from W concurrent workers at GOMAXPROCS = W for each point of the sweep
 // and reports aggregate samples/sec as machine-parseable PARALLEL lines
-// (BENCH_PR7.json records one sweep). The scaling curve is the end-to-end
-// proof that the query path has no hidden serialization: queriers come
-// from the pool, per-query RNG streams split off an atomic counter, and
-// the kernels are read-only, so throughput should track core count on
+// (BENCH_PR7.json, pre-harness history, records one sweep; bench/ has no
+// multi-core workload). The scaling curve is the end-to-end proof that
+// the query path has no hidden serialization: queriers come from the
+// pool, per-query RNG streams split off an atomic counter, and the
+// kernels are read-only, so throughput should track core count on
 // multi-core hosts (on a single-core host the curve is honestly flat).
 //
-// Knobs (env): FAIRNN_PAR_N (indexed points, default 2000 so the regular
-// test run stays light; raise it to measure), FAIRNN_PAR_DRAWS (SampleK
-// calls per worker, default 50) and FAIRNN_PAR_SWEEP (space-separated
-// GOMAXPROCS values, default "1 2 4").
+// Sizes are fixed so the regular test run stays light: 2000 indexed
+// points, 50 SampleK calls per worker, GOMAXPROCS ∈ {1, 2, 4}.
 
 package fairnn_test
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,39 +24,9 @@ import (
 	"fairnn/internal/dataset"
 )
 
-func envGaugeInt(name string, def int) int {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return def
-}
-
-func envGaugeInts(name string, def []int) []int {
-	s := os.Getenv(name)
-	if s == "" {
-		return def
-	}
-	var out []int
-	for _, f := range strings.Fields(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil || v < 1 {
-			return def
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return def
-	}
-	return out
-}
-
 func TestParallelThroughputGauge(t *testing.T) {
-	n := envGaugeInt("FAIRNN_PAR_N", 2000)
-	draws := envGaugeInt("FAIRNN_PAR_DRAWS", 50)
-	sweep := envGaugeInts("FAIRNN_PAR_SWEEP", []int{1, 2, 4})
-	const perCall = 100
+	const n, draws, perCall = 2000, 50, 100
+	sweep := []int{1, 2, 4}
 
 	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: n, Dim: 64, Alpha: 0.8, Beta: 0.5,

@@ -2,31 +2,20 @@ package core
 
 // The pooled-scratch footprint gauge: it measures the bytes an index pins
 // between queries after a wide concurrent burst, dense vs compact memo
-// backend, and prints machine-parseable FOOTPRINT lines (BENCH_PR3.json
-// records a run at n = 10⁶). It doubles as a regression test for the
+// backend, and prints machine-parseable FOOTPRINT lines (BENCH_PR3.json,
+// pre-harness history, records a run at n = 10⁶; bench/ reports only
+// whole-process heap_mb). It doubles as a regression test for the
 // compact backend's gate (compact ≤ 1/10 dense).
 //
-// Knobs (env): FAIRNN_FOOTPRINT_N (indexed points, default 65536 so the
-// regular test run stays light; set 1000000 to measure) and
-// FAIRNN_FOOTPRINT_QUERIERS (burst width, default 64).
+// Sizes are fixed so the regular test run stays light: 65536 indexed
+// points, a burst of 64 queriers.
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"fairnn/internal/lsh"
 )
-
-func envInt(name string, def int) int {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return def
-}
 
 // TestPooledScratchFootprintGauge builds the Section 4 structure at
 // gauge scale with each memo backend, populates exactly `queriers`
@@ -35,8 +24,7 @@ func envInt(name string, def int) int {
 // the retained footprint. The compact path must pin at most 1/10 of the
 // dense path's scratch at any n this runs at.
 func TestPooledScratchFootprintGauge(t *testing.T) {
-	n := envInt("FAIRNN_FOOTPRINT_N", 65536)
-	queriers := envInt("FAIRNN_FOOTPRINT_QUERIERS", 64)
+	const n, queriers = 65536, 64
 	measure := func(backend MemoBackend) int {
 		opts := IndependentOptions{Memo: MemoOptions{Backend: backend, MaxRetainedQueriers: queriers}}
 		d, err := NewIndependent[int](intSpace(), chunkFamily{width: 64}, lsh.Params{K: 1, L: 4}, lineDataset(n), 40, opts, 281)

@@ -2,8 +2,10 @@ package core
 
 // White-box microbenchmark for the Section 4 segment report — the inner
 // operation of every rejection round — comparing the legacy per-bucket
-// range-report path against the merged candidate cursor. Reported in
-// BENCH_PR2.json.
+// range-report path against the merged candidate cursor. bench/'s
+// shard-line reports the segment report as core.segment_us;
+// BENCH_PR2.json, pre-harness history, records the two paths side by
+// side.
 
 import (
 	"testing"

@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"fairnn/internal/core"
 	"fairnn/internal/fault"
-	"fairnn/internal/lsh"
 	"fairnn/internal/rng"
+	"fairnn/internal/servefix"
 	"fairnn/internal/shard"
 )
 
@@ -73,18 +72,6 @@ type ChaosResult struct {
 	Queries int
 }
 
-// chaosFamily buckets the integer line into fixed-width chunks — enough
-// bucket structure for the rejection loop to do real work.
-type chaosFamily struct{ width int }
-
-func (f chaosFamily) New(r *rng.Source) lsh.Func[int] {
-	off := r.Intn(f.width)
-	w := f.width
-	return func(p int) uint64 { return uint64((p + off) / w) }
-}
-
-func (chaosFamily) CollisionProb(float64) float64 { return 0.9 }
-
 // chaosSchedule draws a random fault schedule: one to three specs, each
 // aimed at a random shard with a random operation filter, a random fault
 // class (error, stall, panic or a mix) at a random rate, and sometimes a
@@ -134,22 +121,12 @@ func chaosSchedule(r *rng.Source, shards int) ([]fault.Spec, string) {
 //fairnn:rng-source fault-injection schedule generator seeded from the chaos config
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	res := &ChaosResult{Config: cfg}
-	pts := make([]int, cfg.N)
-	for i := range pts {
-		pts[i] = i
-	}
-	paramsFor := func(int) lsh.Params { return lsh.Params{K: 1, L: 4} }
-	space := core.Space[int]{Kind: core.Distance, Score: func(a, b int) float64 {
-		return math.Abs(float64(a - b))
-	}}
 	r := rng.New(cfg.Seed)
 	for it := 0; it < cfg.Iterations; it++ {
 		specs, desc := chaosSchedule(r, cfg.Shards)
 		degraded := r.Bernoulli(0.75)
 		inj := fault.New(cfg.Shards, r.Uint64(), specs...)
-		s, err := shard.BuildConfig[int](space, chaosFamily{width: 64}, paramsFor, pts, cfg.Radius, core.IndependentOptions{}, shard.Config{
-			Shards: cfg.Shards,
-			Seed:   cfg.Seed + uint64(it)*101,
+		s, err := servefix.InProcLine(servefix.Spec{Dataset: "line", N: cfg.N, Shards: cfg.Shards, Seed: cfg.Seed + uint64(it)*101, Radius: cfg.Radius}, shard.Config{
 			Resilience: shard.Resilience{
 				Deadline: 20 * time.Millisecond,
 				Retries:  r.Intn(3),

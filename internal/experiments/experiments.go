@@ -10,6 +10,18 @@
 //   - Q3Cost: the additional computational cost of exact fairness —
 //     points inspected and wall time per query for every sampler.
 //
+// Beyond the figures:
+//
+//   - Validate: the fairness theorems checked on a known ball — TV from
+//     uniform, χ² p-value and pairwise independence per structure.
+//   - Scaling: the fitted growth exponent of Section 5 query cost in n,
+//     against the linear scan.
+//   - Chaos: seeded random fault schedules against an in-process sharded
+//     sampler, checking near answers, typed errors and bounded stalls.
+//   - ServeChaos: seeded kill/restart cycles against a live loopback
+//     server fleet under concurrent callers, checking degradation,
+//     readmission and the operator health endpoint.
+//
 // Each runner returns a plain result struct so tests can assert on shapes
 // (who wins, by what factor) and the CLI can print the rows.
 package experiments

@@ -11,78 +11,11 @@ import (
 	"time"
 
 	"fairnn/internal/core"
-	"fairnn/internal/obs"
 	"fairnn/internal/rng"
 	"fairnn/internal/servefix"
 	"fairnn/internal/shard"
 	"fairnn/internal/wire"
 )
-
-// ServeConfig parameterizes the network load-test harness: a fleet of
-// in-process wire servers on loopback (the same server type
-// cmd/fairnn-server runs, so every protocol path is the real one), a
-// Connect-assembled sampler over it, and a pool of concurrent client
-// goroutines firing queries while an optional mid-run server kill +
-// restart exercises degradation and probed re-admission under load.
-type ServeConfig struct {
-	// N is the global point count of the line spec.
-	N int
-	// Shards is the server fleet size.
-	Shards int
-	// Radius is the query radius on the line.
-	Radius float64
-	// Clients is the number of concurrent client goroutines.
-	Clients int
-	// QueriesPerClient is each goroutine's query count.
-	QueriesPerClient int
-	// Kill, when set, abruptly closes one server mid-run and restarts it
-	// (same build, same address) once the load finishes, then verifies
-	// the health registry probes it back in.
-	Kill bool
-	Seed uint64
-}
-
-// DefaultServe keeps the harness in CI-smoke territory while still
-// producing meaningful latency percentiles: 4 clients x 250 queries
-// against a 4-shard fleet, with a mid-run kill.
-func DefaultServe() ServeConfig {
-	return ServeConfig{
-		N:                4000,
-		Shards:           4,
-		Radius:           40,
-		Clients:          4,
-		QueriesPerClient: 250,
-		Kill:             true,
-		Seed:             3141,
-	}
-}
-
-// ServeResult carries the aggregate load-test outcome.
-type ServeResult struct {
-	Config ServeConfig
-	// Queries is the total query count across clients.
-	Queries int
-	// OK / DegradedOK / NoSample partition the successful outcomes;
-	// Failed counts typed failures (all of them legitimate under a kill).
-	OK, DegradedOK, NoSample, Failed int
-	// P50Micros..P999Micros are latency quantiles over all queries, read
-	// from the shared log-spaced obs histogram (bucket-interpolated, the
-	// same summaries a /metrics scrape would yield).
-	P50Micros, P90Micros, P99Micros, P999Micros float64
-	// Hist is the non-empty latency buckets backing the quantiles,
-	// emitted as SERVE_HIST lines for the bench history.
-	Hist []obs.Bucket
-	// QPS is the measured throughput (queries / wall-clock second) and
-	// QueriesPerHour its hourly extrapolation — the serving-scale figure.
-	QPS, QueriesPerHour float64
-	// Killed and Readmitted report the kill/restart cycle (zero-valued
-	// when Config.Kill is off).
-	Killed     bool
-	Readmitted bool
-	// Health is the sampler's final health registry snapshot, as served
-	// by the operator endpoint.
-	Health []wire.HealthRecord
-}
 
 // serveFleet is a loopback fleet of real wire servers plus the recipe to
 // restart any member on its original address.
@@ -136,11 +69,69 @@ func (f *serveFleet) close() {
 	}
 }
 
-// RunServe executes the load test. Invariant violations — far points,
-// untyped errors — abort the run with an error.
+// ServeChaosConfig parameterizes the network chaos schedule: seeded
+// kill/restart cycles against a live loopback fleet under concurrent
+// query load — the process-level analogue of RunChaos's injected faults.
+type ServeChaosConfig struct {
+	// Cycles is the number of kill → load → restart → recover rounds.
+	Cycles int
+	// N, Shards, Radius describe the fleet (line spec). Shards must be at
+	// least 2, so a kill leaves a survivor to degrade onto.
+	N      int
+	Shards int
+	Radius float64
+	// QueriesPerPhase is each cycle's query count, fired by
+	// serveChaosCallers concurrent callers; the shard is killed once half
+	// of them are done.
+	QueriesPerPhase int
+	Seed            uint64
+}
+
+// serveChaosCallers is how many concurrent callers share a cycle's
+// queries, so requests are in flight on the dying server's connections
+// when the kill lands.
+const serveChaosCallers = 4
+
+// DefaultServeChaos keeps the schedule in CI-smoke territory.
+func DefaultServeChaos() ServeChaosConfig {
+	return ServeChaosConfig{Cycles: 3, N: 2000, Shards: 4, Radius: 40, QueriesPerPhase: 120, Seed: 2719}
+}
+
+// ServeChaosRow summarizes one kill/restart cycle.
+type ServeChaosRow struct {
+	Cycle  int
+	Killed int
+	// DownOK, DownDegraded, DownMiss and DownFailed partition the cycle's
+	// queries, fired across the kill: clean answers (before the kill, or
+	// before the registry noticed it), degraded answers, legitimate
+	// misses, and typed failures.
+	DownOK, DownDegraded, DownMiss, DownFailed int
+	// RecoverQueries is how many queries the re-admission took.
+	RecoverQueries int
+}
+
+// ServeChaosResult carries the schedule outcome.
+type ServeChaosResult struct {
+	Config ServeChaosConfig
+	Rows   []ServeChaosRow
+	// Readmissions is the health registry's final count, summed over
+	// shards — it must be at least the number of kills.
+	Readmissions int
+	// health is the final registry as the operator endpoint served it.
+	health []wire.HealthRecord
+}
+
+// RunServeChaos executes the kill/restart schedule. Invariants: every
+// answered query is near, every error is typed, no caller panics, every
+// cycle reports degradation after its kill, every killed server is
+// probed back in after restart, and the operator health endpoint serves
+// one record per shard.
 //
-//fairnn:rng-source per-client query-point streams seeded from the serve config
-func RunServe(cfg ServeConfig) (*ServeResult, error) {
+//fairnn:rng-source seeded kill schedule and query streams
+func RunServeChaos(cfg ServeChaosConfig) (*ServeChaosResult, error) {
+	if cfg.Shards < 2 {
+		return nil, fmt.Errorf("serve chaos needs at least 2 shards, got %d: killing the only shard leaves no survivor to degrade onto", cfg.Shards)
+	}
 	sp := servefix.Spec{Dataset: "line", N: cfg.N, Shards: cfg.Shards, Seed: cfg.Seed, Radius: cfg.Radius}
 	fleet, err := startServeFleet(sp)
 	if err != nil {
@@ -164,284 +155,61 @@ func RunServe(cfg ServeConfig) (*ServeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	go func() {
-		defer func() { _ = recover() }()
-		_ = hs.Serve(hln)
-	}()
+	go hs.Serve(hln)
 	defer hs.Close()
-
-	res := &ServeResult{Config: cfg, Queries: cfg.Clients * cfg.QueriesPerClient}
-	const killShard = 1
-	var done atomic.Int64
-	killAt := int64(res.Queries) / 2
-	var killOnce sync.Once
-
-	type outcome struct {
-		ok, degradedOK, noSample, failed int
-		err                              error
-	}
-	outs := make([]outcome, cfg.Clients)
-	// One shared latency histogram across clients: Observe is lock-free
-	// and concurrent-safe, and its quantiles are exactly what the serve
-	// registry would expose — the gauge and the operator endpoint agree
-	// by construction.
-	hist := obs.NewHistogram()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer func() {
-				if r := recover(); r != nil {
-					outs[c].err = fmt.Errorf("serve client %d panicked: %v", c, r)
-				}
-				wg.Done()
-			}()
-			r := rng.New(cfg.Seed ^ (0xc11e47<<8 + uint64(c)))
-			var st core.QueryStats
-			for i := 0; i < cfg.QueriesPerClient; i++ {
-				if cfg.Kill && done.Load() >= killAt {
-					killOnce.Do(func() {
-						fleet.srvs[killShard].Close()
-						res.Killed = true
-					})
-				}
-				q := r.Intn(cfg.N)
-				t0 := time.Now()
-				id, err := s.SampleContext(context.Background(), q, &st)
-				hist.Observe(time.Since(t0))
-				done.Add(1)
-				switch {
-				case err == nil:
-					if d := float64(id) - float64(q); d > cfg.Radius || d < -cfg.Radius {
-						outs[c].err = fmt.Errorf("serve client %d: far point %d for query %d", c, id, q)
-						return
-					}
-					if st.Degraded.Degraded() {
-						outs[c].degradedOK++
-					} else {
-						outs[c].ok++
-					}
-				case errors.Is(err, core.ErrNoSample):
-					outs[c].noSample++
-				case errors.Is(err, shard.ErrDegraded):
-					outs[c].failed++
-				default:
-					var se *shard.ShardError
-					if errors.As(err, &se) {
-						outs[c].failed++
-						continue
-					}
-					outs[c].err = fmt.Errorf("serve client %d: untyped error %w", c, err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	for c := range outs {
-		if outs[c].err != nil {
-			return nil, outs[c].err
-		}
-		res.OK += outs[c].ok
-		res.DegradedOK += outs[c].degradedOK
-		res.NoSample += outs[c].noSample
-		res.Failed += outs[c].failed
-	}
-	res.P50Micros = quantileMicros(hist, 0.50)
-	res.P90Micros = quantileMicros(hist, 0.90)
-	res.P99Micros = quantileMicros(hist, 0.99)
-	res.P999Micros = quantileMicros(hist, 0.999)
-	res.Hist = hist.Snapshot()
-	res.QPS = float64(hist.Count()) / wall.Seconds()
-	res.QueriesPerHour = res.QPS * 3600
-	if cfg.Kill && res.DegradedOK == 0 {
-		return nil, fmt.Errorf("serve: server %d was killed mid-run but no query reported degradation", killShard)
-	}
-
-	if res.Killed {
-		// Restart the killed shard on its original address and verify the
-		// client's health registry probes it back in.
-		if err := fleet.restart(killShard); err != nil {
-			return nil, fmt.Errorf("serve: restart shard %d: %w", killShard, err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		r := rng.New(cfg.Seed ^ 0x9ead)
-		for time.Now().Before(deadline) {
-			var st core.QueryStats
-			if _, err := s.SampleContext(context.Background(), r.Intn(cfg.N), &st); err == nil && !st.Degraded.Degraded() {
-				res.Readmitted = true
-				break
-			}
-		}
-		if !res.Readmitted {
-			return nil, fmt.Errorf("serve: restarted shard %d was never probed back in", killShard)
-		}
-	}
-
-	// Read the final registry through the operator endpoint — the same
-	// bytes an external health checker would see.
-	hctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	res.Health, err = wire.FetchHealth(hctx, hln.Addr().String())
-	if err != nil {
-		return nil, fmt.Errorf("serve: operator health endpoint: %w", err)
-	}
-	return res, nil
-}
-
-// quantileMicros reads the q-quantile of the histogram in microseconds.
-func quantileMicros(h *obs.Histogram, q float64) float64 {
-	return float64(h.Quantile(q)) / 1000
-}
-
-// Render writes the aggregate table, the health snapshot, and the
-// machine-parseable SERVE / SERVE_HIST lines; scripts/serve_smoke.sh
-// folds the SERVE summary into its JSON snapshot.
-func (r *ServeResult) Render(w io.Writer) error {
-	title := fmt.Sprintf("serve: %d clients x %d queries over %d loopback servers, n=%d (kill=%v)",
-		r.Config.Clients, r.Config.QueriesPerClient, r.Config.Shards, r.Config.N, r.Config.Kill)
-	rows := [][]string{{
-		fmt.Sprintf("%d", r.Queries),
-		fmt.Sprintf("%d", r.OK),
-		fmt.Sprintf("%d", r.DegradedOK),
-		fmt.Sprintf("%d", r.NoSample),
-		fmt.Sprintf("%d", r.Failed),
-		f2(r.P50Micros),
-		f2(r.P90Micros),
-		f2(r.P99Micros),
-		f2(r.P999Micros),
-		f2(r.QPS),
-	}}
-	if err := WriteTable(w, title, []string{"queries", "ok", "degraded", "no-sample", "failed", "p50 µs", "p90 µs", "p99 µs", "p999 µs", "qps"}, rows); err != nil {
-		return err
-	}
-	for _, h := range r.Health {
-		state := "healthy"
-		if !h.Healthy {
-			state = "down"
-		}
-		if _, err := fmt.Fprintf(w, "health: shard %d %s (failures=%d skipped=%d probes=%d readmissions=%d)\n",
-			h.Shard, state, h.Failures, h.Skipped, h.Probes, h.Readmissions); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "SERVE queries=%d ok=%d degraded_ok=%d no_sample=%d failed=%d p50_us=%.2f p90_us=%.2f p99_us=%.2f p999_us=%.2f qps=%.2f queries_per_hour=%.0f killed=%v readmitted=%v\n",
-		r.Queries, r.OK, r.DegradedOK, r.NoSample, r.Failed, r.P50Micros, r.P90Micros, r.P99Micros, r.P999Micros, r.QPS, r.QueriesPerHour, r.Killed, r.Readmitted); err != nil {
-		return err
-	}
-	// Bucket dump: one line per non-empty bucket (upper bound in µs, 0
-	// marks the overflow bucket), non-cumulative counts.
-	for _, b := range r.Hist {
-		if _, err := fmt.Fprintf(w, "SERVE_HIST le_us=%.3f count=%d\n", float64(b.UpperNanos)/1000, b.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ServeChaosConfig parameterizes the network chaos schedule: seeded
-// kill/restart cycles against a live loopback fleet under query load —
-// the process-level analogue of RunChaos's injected faults.
-type ServeChaosConfig struct {
-	// Cycles is the number of kill → load → restart → recover rounds.
-	Cycles int
-	// N, Shards, Radius describe the fleet (line spec).
-	N      int
-	Shards int
-	Radius float64
-	// QueriesPerPhase is the query count fired while a shard is down and
-	// again after its restart.
-	QueriesPerPhase int
-	Seed            uint64
-}
-
-// DefaultServeChaos keeps the schedule in CI-smoke territory.
-func DefaultServeChaos() ServeChaosConfig {
-	return ServeChaosConfig{Cycles: 3, N: 2000, Shards: 4, Radius: 40, QueriesPerPhase: 120, Seed: 2719}
-}
-
-// ServeChaosRow summarizes one kill/restart cycle.
-type ServeChaosRow struct {
-	Cycle  int
-	Killed int
-	// DownDegraded counts degraded answers while the shard was dead;
-	// DownOK counts answers the surviving fleet still served cleanly
-	// (before the registry noticed, or probe successes).
-	DownOK, DownDegraded, DownMiss, DownFailed int
-	// RecoverQueries is how many queries the re-admission took.
-	RecoverQueries int
-}
-
-// ServeChaosResult carries the schedule outcome.
-type ServeChaosResult struct {
-	Config ServeChaosConfig
-	Rows   []ServeChaosRow
-	// Readmissions is the health registry's final count, summed over
-	// shards — it must be at least the number of kills.
-	Readmissions int
-}
-
-// RunServeChaos executes the kill/restart schedule. Invariants: every
-// answered query is near, every error is typed, every down phase reports
-// degradation, and every killed server is probed back in after restart.
-//
-//fairnn:rng-source seeded kill schedule and query streams
-func RunServeChaos(cfg ServeChaosConfig) (*ServeChaosResult, error) {
-	sp := servefix.Spec{Dataset: "line", N: cfg.N, Shards: cfg.Shards, Seed: cfg.Seed, Radius: cfg.Radius}
-	fleet, err := startServeFleet(sp)
-	if err != nil {
-		return nil, err
-	}
-	defer fleet.close()
-	s, err := shard.Connect[int](wire.IntCodec{}, fleet.addrs, shard.RemoteConfig{
-		Partitioner: sp.Partitioner(),
-		Resilience:  shard.Resilience{Degraded: true, Deadline: 200 * time.Millisecond, Retries: 1},
-		DialTimeout: time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
 
 	res := &ServeChaosResult{Config: cfg}
 	r := rng.New(cfg.Seed)
 	for cycle := 0; cycle < cfg.Cycles; cycle++ {
 		j := r.Intn(cfg.Shards)
-		row := ServeChaosRow{Cycle: cycle, Killed: j}
-		fleet.srvs[j].Close()
-
-		for qi := 0; qi < cfg.QueriesPerPhase; qi++ {
-			q := r.Intn(cfg.N)
-			var st core.QueryStats
-			id, err := s.SampleContext(context.Background(), q, &st)
-			switch {
-			case err == nil:
-				if d := float64(id) - float64(q); d > cfg.Radius || d < -cfg.Radius {
-					return nil, fmt.Errorf("serve chaos cycle %d: far point %d for query %d", cycle, id, q)
-				}
-				if st.Degraded.Degraded() {
-					row.DownDegraded++
-				} else {
-					row.DownOK++
-				}
-			case errors.Is(err, core.ErrNoSample):
-				row.DownMiss++
-			case errors.Is(err, shard.ErrDegraded):
-				row.DownFailed++
-			default:
-				var se *shard.ShardError
-				if errors.As(err, &se) {
-					row.DownFailed++
-					continue
-				}
-				return nil, fmt.Errorf("serve chaos cycle %d: untyped error %w", cycle, err)
+		var (
+			tallies [serveChaosCallers]ServeChaosRow
+			errs    [serveChaosCallers]error
+			done    atomic.Int64
+			kill    sync.Once
+			wg      sync.WaitGroup
+		)
+		for c := range serveChaosCallers {
+			cr := rng.New(r.Uint64())
+			queries := cfg.QueriesPerPhase / serveChaosCallers
+			if c < cfg.QueriesPerPhase%serveChaosCallers {
+				queries++
 			}
+			wg.Add(1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						errs[c] = fmt.Errorf("caller %d panicked: %v", c, p)
+					}
+					wg.Done()
+				}()
+				for range queries {
+					if done.Load() >= int64(cfg.QueriesPerPhase/2) {
+						kill.Do(func() { fleet.srvs[j].Close() })
+					}
+					q := cr.Intn(cfg.N)
+					var st core.QueryStats
+					id, err := s.SampleContext(context.Background(), q, &st)
+					done.Add(1)
+					if errs[c] = tallies[c].tally(id, q, err, &st, cfg.Radius); errs[c] != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		row := ServeChaosRow{Cycle: cycle, Killed: j}
+		for c, t := range tallies {
+			if errs[c] != nil {
+				return nil, fmt.Errorf("serve chaos cycle %d: %w", cycle, errs[c])
+			}
+			row.DownOK += t.DownOK
+			row.DownDegraded += t.DownDegraded
+			row.DownMiss += t.DownMiss
+			row.DownFailed += t.DownFailed
 		}
 		if row.DownDegraded == 0 {
-			return nil, fmt.Errorf("serve chaos cycle %d: shard %d was dead for %d queries but none reported degradation", cycle, j, cfg.QueriesPerPhase)
+			return nil, fmt.Errorf("serve chaos cycle %d: shard %d was killed halfway through %d queries but none reported degradation", cycle, j, cfg.QueriesPerPhase)
 		}
 
 		if err := fleet.restart(j); err != nil {
@@ -461,7 +229,18 @@ func RunServeChaos(cfg ServeChaosConfig) (*ServeChaosResult, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	for _, h := range s.Health() {
+
+	// Read the final registry through the operator endpoint — the same
+	// bytes an external health checker would see.
+	hctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if res.health, err = wire.FetchHealth(hctx, hln.Addr().String()); err != nil {
+		return nil, fmt.Errorf("serve chaos: operator health endpoint: %w", err)
+	}
+	if len(res.health) != cfg.Shards {
+		return nil, fmt.Errorf("serve chaos: operator health endpoint served %d records for %d shards", len(res.health), cfg.Shards)
+	}
+	for _, h := range res.health {
 		res.Readmissions += int(h.Readmissions)
 	}
 	if res.Readmissions < cfg.Cycles {
@@ -470,7 +249,34 @@ func RunServeChaos(cfg ServeChaosConfig) (*ServeChaosResult, error) {
 	return res, nil
 }
 
-// Render writes the per-cycle table and totals.
+// tally files one answer into the row's outcome counts. A far point or
+// an untyped error is an invariant violation.
+func (row *ServeChaosRow) tally(id int32, q int, err error, st *core.QueryStats, radius float64) error {
+	switch {
+	case err == nil:
+		if d := float64(id) - float64(q); d > radius || d < -radius {
+			return fmt.Errorf("far point %d for query %d", id, q)
+		}
+		if st.Degraded.Degraded() {
+			row.DownDegraded++
+		} else {
+			row.DownOK++
+		}
+	case errors.Is(err, core.ErrNoSample):
+		row.DownMiss++
+	case errors.Is(err, shard.ErrDegraded):
+		row.DownFailed++
+	default:
+		var se *shard.ShardError
+		if !errors.As(err, &se) {
+			return fmt.Errorf("untyped error %w", err)
+		}
+		row.DownFailed++
+	}
+	return nil
+}
+
+// Render writes the per-cycle table, the health records and totals.
 func (r *ServeChaosResult) Render(w io.Writer) error {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
@@ -484,10 +290,16 @@ func (r *ServeChaosResult) Render(w io.Writer) error {
 			fmt.Sprintf("%d", row.RecoverQueries),
 		})
 	}
-	title := fmt.Sprintf("serve chaos: %d seeded kill/restart cycles x %d queries against live servers, S=%d, n=%d",
-		r.Config.Cycles, r.Config.QueriesPerPhase, r.Config.Shards, r.Config.N)
+	title := fmt.Sprintf("serve chaos: %d seeded kill/restart cycles x %d queries from %d concurrent callers against live servers, S=%d, n=%d",
+		r.Config.Cycles, r.Config.QueriesPerPhase, serveChaosCallers, r.Config.Shards, r.Config.N)
 	if err := WriteTable(w, title, []string{"cycle", "killed", "ok", "degraded", "no-sample", "failed", "recover-q"}, rows); err != nil {
 		return err
+	}
+	for _, h := range r.health {
+		if _, err := fmt.Fprintf(w, "health: shard %d healthy=%v failures=%d skipped=%d probes=%d readmissions=%d\n",
+			h.Shard, h.Healthy, h.Failures, h.Skipped, h.Probes, h.Readmissions); err != nil {
+			return err
+		}
 	}
 	_, err := fmt.Fprintf(w, "\ntotals: %d kills, %d readmissions; 0 invariant violations\n", len(r.Rows), r.Readmissions)
 	return err

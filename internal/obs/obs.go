@@ -146,7 +146,7 @@ type Histogram struct {
 
 // NewHistogram returns a standalone (unregistered) latency histogram
 // over the shared log-spaced boundaries — for harnesses that want
-// quantiles without a registry (the serve load test, the resilience
+// quantiles without a registry (the bench harness, the resilience
 // gauge).
 func NewHistogram() *Histogram {
 	return &Histogram{bounds: latencyBounds, counts: make([]atomic.Uint64, len(latencyBounds)+1)}
@@ -241,34 +241,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		cum += n
 	}
 	return h.bounds[len(h.bounds)-1]
-}
-
-// Bucket is one non-empty histogram bucket in a snapshot: the upper
-// bound in nanoseconds (0 marks the overflow bucket) and the
-// non-cumulative count.
-type Bucket struct {
-	UpperNanos int64
-	Count      uint64
-}
-
-// Snapshot returns the non-empty buckets in ascending bound order.
-func (h *Histogram) Snapshot() []Bucket {
-	if h == nil {
-		return nil
-	}
-	var out []Bucket
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		var up int64
-		if i < len(h.bounds) {
-			up = h.bounds[i]
-		}
-		out = append(out, Bucket{UpperNanos: up, Count: n})
-	}
-	return out
 }
 
 // kindOf tags a registered family for exposition.

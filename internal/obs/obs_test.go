@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func TestNilRegistryInvisible(t *testing.T) {
 	g.Inc()
 	g.Dec()
 	h.Observe(time.Millisecond)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 || h.Snapshot() != nil {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil instruments reported nonzero state")
 	}
 	if r.EnableTracing(4, 8) != nil || r.Tracer() != nil {
@@ -141,24 +142,66 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// TestHistogramOverflowSnapshot: an observation beyond the last bound
-// lands in the overflow bucket, marked UpperNanos == 0 in snapshots.
+// TestHistogramOverflowSnapshot reads the Prometheus exposition's
+// cumulative le buckets: an observation beyond the last bound lands in
+// the +Inf overflow bucket, a negative one clamps into the first bucket,
+// and no observation is lost.
 func TestHistogramOverflowSnapshot(t *testing.T) {
-	h := NewHistogram()
+	r := NewRegistry()
+	h := r.Histogram("t_seconds", "", "")
 	h.Observe(time.Microsecond)
 	h.Observe(100 * time.Second) // past the ≈47s top bound
 	h.Observe(-time.Second)      // clamps to 0, first bucket
-	snap := h.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d buckets, want 3: %+v", len(snap), snap)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if snap[len(snap)-1].UpperNanos != 0 || snap[len(snap)-1].Count != 1 {
-		t.Fatalf("overflow bucket not marked: %+v", snap[len(snap)-1])
-	}
-	for _, b := range snap[:len(snap)-1] {
-		if b.UpperNanos <= 0 {
-			t.Fatalf("finite bucket with non-positive bound: %+v", b)
+	out := sb.String()
+	var les []string
+	var cum []uint64
+	for _, line := range strings.Split(out, "\n") {
+		rest, ok := strings.CutPrefix(line, `t_seconds_bucket{le="`)
+		if !ok {
+			continue
 		}
+		le, val, _ := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseUint(val, 10, 64)
+		if err != nil {
+			t.Fatalf("malformed bucket line %q", line)
+		}
+		les = append(les, le)
+		cum = append(cum, n)
+	}
+	if len(cum) != len(latencyBounds)+1 || les[len(les)-1] != "+Inf" {
+		t.Fatalf("%d bucket lines ending at le=%q, want %d ending at +Inf:\n%s", len(cum), les[len(les)-1], len(latencyBounds)+1, out)
+	}
+	rises := 0
+	for i, n := range cum {
+		prev := uint64(0)
+		if i > 0 {
+			prev = cum[i-1]
+		}
+		if n < prev {
+			t.Fatalf("bucket le=%s holds %d, below the previous %d: not cumulative", les[i], n, prev)
+		}
+		if n > prev {
+			rises++
+		}
+		if i < len(cum)-1 {
+			if b, err := strconv.ParseFloat(les[i], 64); err != nil || b <= 0 {
+				t.Fatalf("finite bucket with non-positive bound le=%q", les[i])
+			}
+		}
+	}
+	last := len(cum) - 1
+	if rises != 3 || cum[0] != 1 {
+		t.Fatalf("%d non-empty buckets, first bucket %d; want 3, with the clamped negative alone in the first", rises, cum[0])
+	}
+	if cum[last-1] != 2 || cum[last] != 3 {
+		t.Fatalf("last finite bucket %d, +Inf %d; want 2 and 3 (the overflow observation in +Inf only)", cum[last-1], cum[last])
+	}
+	if h.Count() != 3 || !strings.Contains(out, "t_seconds_count 3\n") {
+		t.Fatalf("observations lost: Count()=%d, exposition:\n%s", h.Count(), out)
 	}
 }
 

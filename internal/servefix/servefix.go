@@ -1,6 +1,6 @@
 // Package servefix defines the shared serving fixtures: deterministic
-// dataset + shard-build recipes that cmd/fairnn-server, the serve/chaos
-// harnesses, and the cross-process tests all derive from the same
+// dataset + shard-build recipes that cmd/fairnn-server, the chaos
+// experiments, and the cross-process tests all derive from the same
 // (dataset, n, seed) triple. A server process and an in-process twin
 // built from the same Spec construct bit-identical Section 4 structures
 // — the property the stream-equivalence oracle rests on — because both
@@ -79,8 +79,8 @@ func (sp Spec) CodecName() string {
 }
 
 // LineFamily buckets the integer line into fixed-width chunks — enough
-// bucket structure for the rejection loop to do real work (the chaos
-// experiment's family, shared here so servers and twins agree).
+// bucket structure for the rejection loop to do real work (shared so
+// servers, twins and the chaos experiments agree).
 type LineFamily struct {
 	// Width is the chunk width.
 	Width int

@@ -2,19 +2,17 @@ package shard
 
 // The shard-sweep gauge: it builds the sharded sampler at gauge scale for
 // each shard count in the sweep and reports build time, single-draw
-// latency and bulk-draw latency as machine-parseable SHARDSWEEP lines
-// (BENCH_PR5.json records a sweep at n = 10⁶). It doubles as an
-// end-to-end smoke for the sharded path at a realistic size.
+// latency and bulk-draw latency as machine-parseable SHARDSWEEP lines.
+// bench/'s shard-line workload measures the S = 2, n = 10⁶ point of it
+// (setup_s, latency_p50_us); BENCH_PR5.json, pre-harness history,
+// records a whole sweep at n = 10⁶. It doubles as an end-to-end smoke
+// for the sharded path at a realistic size.
 //
-// Knobs (env): FAIRNN_SHARD_N (indexed points, default 30000 so the
-// regular test run stays light; set 1000000 to measure) and
-// FAIRNN_SHARD_SWEEP (space-separated shard counts, default "1 2 4 8").
+// Sizes are fixed so the regular test run stays light: 30000 indexed
+// points, shard counts 1, 2, 4 and 8.
 
 import (
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -22,42 +20,13 @@ import (
 	"fairnn/internal/lsh"
 )
 
-func envInt(name string, def int) int {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return def
-}
-
-func envInts(name string, def []int) []int {
-	s := os.Getenv(name)
-	if s == "" {
-		return def
-	}
-	var out []int
-	for _, f := range strings.Fields(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil || v < 1 {
-			return def
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return def
-	}
-	return out
-}
-
 // TestShardSweepGauge measures the sharded build and query path across
 // the shard sweep at gauge scale. Every sweep point must answer queries
 // correctly (near points only); the timing lines are for the bench
 // snapshot, not assertions.
 func TestShardSweepGauge(t *testing.T) {
-	n := envInt("FAIRNN_SHARD_N", 30000)
-	sweep := envInts("FAIRNN_SHARD_SWEEP", []int{1, 2, 4, 8})
-	const radius = 40
+	const n, radius = 30000, 40
+	sweep := []int{1, 2, 4, 8}
 	pts := lineDataset(n)
 	for _, S := range sweep {
 		start := time.Now()

@@ -4,14 +4,14 @@ package shard
 // over many single draws, read from the shared obs latency histogram) on
 // an 8-shard sampler in two states — all shards healthy, and 1 of 8
 // shards force-failed with degraded mode absorbing the loss — and
-// reports machine-parseable RESILIENCE lines (BENCH_PR10.json records a
-// run). The faulted numbers quantify the price of losing a failure domain: the
+// reports machine-parseable RESILIENCE lines (BENCH_PR10.json,
+// pre-harness history, records a run; bench/ has no faulted workload).
+// The faulted numbers quantify the price of losing a failure domain: the
 // first query pays the retry budget, steady state pays only the health
 // registry's fail-fast gate plus periodic re-admission probes.
 //
-// Knobs (env): FAIRNN_RES_N (indexed points, default 30000; raise it to
-// measure at scale) and FAIRNN_RES_REPS (timed draws per state, default
-// 2000).
+// Sizes are fixed so the regular test run stays light: 30000 indexed
+// points, 2000 timed draws per state.
 
 import (
 	"context"
@@ -47,8 +47,7 @@ func timeDraws(t *testing.T, s *Sharded[int], n, reps int) *obs.Histogram {
 // only, degraded mode reports the outage); the timing lines are for the
 // bench snapshot.
 func TestResilienceGauge(t *testing.T) {
-	n := envInt("FAIRNN_RES_N", 30000)
-	reps := envInt("FAIRNN_RES_REPS", 2000)
+	const n, reps = 30000, 2000
 	const S = 8
 	const radius = 40
 	pts := lineDataset(n)

@@ -3,7 +3,8 @@ package vector
 // Tests and microbenchmarks for the unrolled distance kernels introduced
 // with the memoized query path: SquaredEuclidean must agree with
 // Euclidean² to FP tolerance at every dimension (including the unroll
-// remainders 1–3), and the benchmarks feed the BENCH_PR2 snapshot.
+// remainders 1–3). BENCH_PR2.json, pre-harness history, records the
+// benchmarks' first run.
 
 import (
 	"fmt"
@@ -75,7 +76,9 @@ func TestSquaredEuclideanPanicsOnMismatch(t *testing.T) {
 // Kernel microbenchmarks: a dimension sweep with one sub-benchmark per
 // kernel tier, so one run yields the scalar-vs-accelerated comparison.
 // SetBytes counts both operand vectors (16 bytes per dimension), so the
-// ns/op column doubles as a GB/s gauge. Reported in BENCH_PR7.json.
+// ns/op column doubles as a GB/s gauge. bench/'s filter-vec reports the
+// d = 128 batched kernels as vector.dot_ns and vector.sqdist_ns;
+// BENCH_PR7.json, pre-harness history, records a whole sweep.
 
 const benchDim = 128
 

@@ -2,7 +2,7 @@
 # serve_smoke.sh — CI gate for the network serving subsystem (PR 9;
 # operator endpoint added in PR 10).
 #
-# Five stages, each a hard failure:
+# Four stages, each a hard failure:
 #   1. the fairnn-server binary builds standalone;
 #   2. the wire protocol suite passes under the race detector (framing
 #      fuzz corpora, typed rejection, loopback server semantics,
@@ -14,30 +14,22 @@
 #   4. a real server started with -obs serves well-formed Prometheus
 #      text exposition on /metrics (fairnn_ families with HELP/TYPE
 #      headers) and answers a 1-second CPU profile on
-#      /debug/pprof/profile;
-#   5. a scaled-down `-exp serve` load test runs end to end (loopback
-#      fleet, concurrent clients, mid-run kill + restart), and its SERVE
-#      summary line is folded into a JSON artifact.
+#      /debug/pprof/profile.
 #
-# Usage: scripts/serve_smoke.sh [output.json]
-#   output.json  defaults to SERVE_SMOKE.json
-# Env:
-#   FAIRNN_SERVE_SHARDS  fleet size for the load test (default 4)
-#   FAIRNN_SERVE_SEED    load-test seed (default 0 = harness default)
+# Serving latency under load is measured by the repository benchmark
+# (bench/, serve-line and serve-line-2c), and kill/restart cycles under
+# concurrent callers by `go run ./cmd/fairnn -exp chaos`.
+#
+# Usage: scripts/serve_smoke.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-OUT="${1:-SERVE_SMOKE.json}"
-SHARDS="${FAIRNN_SERVE_SHARDS:-4}"
-SEED="${FAIRNN_SERVE_SEED:-0}"
-
 BINDIR="$(mktemp -d)"
-SERVELOG="$(mktemp)"
 OBSLOG="$(mktemp)"
 METRICS="$(mktemp)"
 SRVPID=""
-trap '[ -n "$SRVPID" ] && kill "$SRVPID" 2>/dev/null; rm -rf "$BINDIR" "$SERVELOG" "$OBSLOG" "$METRICS"' EXIT
+trap '[ -n "$SRVPID" ] && kill "$SRVPID" 2>/dev/null; rm -rf "$BINDIR" "$OBSLOG" "$METRICS"' EXIT
 
 echo "== build fairnn-server =="
 go build -o "$BINDIR/fairnn-server" ./cmd/fairnn-server
@@ -100,28 +92,3 @@ echo "pprof 1s CPU profile OK"
 kill "$SRVPID"
 wait "$SRVPID" || true
 SRVPID=""
-
-echo "== serve load test =="
-go run ./cmd/fairnn -exp serve -shards "$SHARDS" -seed "$SEED" | tee "$SERVELOG"
-
-awk -v out="$OUT" -v shards="$SHARDS" '
-/^SERVE / {
-    row = "{"
-    first_kv = 1
-    for (i = 2; i <= NF; i++) {
-        split($i, kv, "=")
-        row = row (first_kv ? "" : ", ") sprintf("\"%s\": %s", kv[1], kv[2])
-        first_kv = 0
-    }
-    serve_row = row "}"
-}
-END {
-    if (serve_row == "") {
-        print "serve_smoke: no SERVE summary line in load-test output" > "/dev/stderr"
-        exit 1
-    }
-    printf "{\n  \"shards\": %s,\n  \"serve\": %s\n}\n", shards, serve_row > out
-}
-' "$SERVELOG"
-
-echo "wrote $OUT"
