@@ -13,7 +13,6 @@ import (
 	"fairnn"
 	"fairnn/internal/dataset"
 	"fairnn/internal/experiments"
-	"fairnn/internal/sketch"
 )
 
 // ---------------------------------------------------------------------------
@@ -477,28 +476,4 @@ func BenchmarkScalingSection5(b *testing.B) {
 	}
 	b.ReportMetric(last.CandidateExponent, "exponent")
 	b.ReportMetric(last.Rho, "rho_theory")
-}
-
-// BenchmarkAblationSketchKind compares the Section 2.3 KMV sketch against
-// HyperLogLog as the Section 4 candidate estimator: build time, stored
-// sketch memory, and query latency.
-func BenchmarkAblationSketchKind(b *testing.B) {
-	fix := benchSets()
-	for _, kind := range []struct {
-		name string
-		k    sketch.Kind
-	}{{"kmv", sketch.KMV}, {"hll", sketch.HyperLogLog}} {
-		b.Run(kind.name, func(b *testing.B) {
-			// SketchMinBucket 2 forces sketches to be stored for (nearly)
-			// every bucket so the memory comparison is visible.
-			d := newBenchSet(b, fairnn.WithIndependentOptions(fairnn.IndependentOptions{SketchKind: kind.k, SketchMinBucket: 2})).(*fairnn.SetIndependent)
-			_, words := d.StoredSketches()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := fix.sets[fix.queries[i%len(fix.queries)]]
-				d.Sample(q, nil)
-			}
-			b.ReportMetric(float64(words), "sketch_words")
-		})
-	}
 }

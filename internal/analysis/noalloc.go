@@ -17,10 +17,10 @@ import (
 //     //fairnn:noalloc — the contract is transitive by annotation, so
 //     the whole steady-state call tree is visibly marked;
 //   - make/new, slice, map and &struct composite literals, and closure
-//     (func) literals — unless the allocation sits under a lazy-init
-//     guard (an if whose condition tests nil or compares len/cap), the
-//     pool-miss and grow-on-demand idiom that is allocation-free in
-//     steady state;
+//     (func) literals — unless the allocation sits in the body of a
+//     lazy-init guard (an if whose condition tests nil or compares
+//     len/cap), the pool-miss and grow-on-demand idiom that is
+//     allocation-free in steady state;
 //   - append whose destination differs from its source (steady-state
 //     appends recycle a pooled buffer: x = append(x, ...));
 //   - string concatenation and string<->[]byte/[]rune conversions;
@@ -33,11 +33,11 @@ import (
 // allocation in a hot function is visibly justified.
 //
 // Known holes, by design: dynamic calls (interface methods such as the
-// memoTable backends and sketch counters, and func-valued fields such as
-// nearFn/batchScore) are not chased, and FuncLit bodies are not
-// descended into once the literal itself is reported. The runtime
-// zero-alloc oracles remain the ground truth; this analyzer makes the
-// common regressions impossible to merge.
+// memoTable backends, and func-valued fields such as nearFn/batchScore)
+// are not chased, and FuncLit bodies are not descended into once the
+// literal itself is reported. The runtime zero-alloc oracles remain the
+// ground truth; this analyzer makes the common regressions impossible to
+// merge.
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
 	Doc:  "check //fairnn:noalloc functions for allocation-introducing constructs",
@@ -80,9 +80,11 @@ func runNoAlloc(pass *Pass) error {
 }
 
 // allocExempt reports whether a finding at node is suppressed: an
-// explicit //fairnn:allocok line directive, or (for lazy-init shapes) an
-// enclosing if statement in stack whose condition tests nil or len/cap —
-// the pool-miss / grow-on-demand idiom.
+// explicit //fairnn:allocok line directive, or (for lazy-init shapes)
+// node lying in the body of an enclosing if statement in stack whose
+// condition tests nil or len/cap — the pool-miss / grow-on-demand idiom.
+// Only the guarded body is exempt: the if's init statement, condition
+// and else branch run whether or not the guard holds.
 func (p *Pass) allocExempt(node ast.Node, stack []ast.Node, lazyOK bool) bool {
 	if _, ok := p.LineDirective(node, "allocok"); ok {
 		return true
@@ -95,7 +97,7 @@ func (p *Pass) allocExempt(node ast.Node, stack []ast.Node, lazyOK bool) bool {
 		if !ok {
 			continue
 		}
-		if condTestsNilOrCap(ifs.Cond) {
+		if condTestsNilOrCap(ifs.Cond) && ifs.Body.Pos() <= node.Pos() && node.End() <= ifs.Body.End() {
 			return true
 		}
 	}
@@ -262,7 +264,7 @@ func (p *Pass) checkNoAllocCall(fd *ast.FuncDecl, call *ast.CallExpr, stack []as
 		return
 	}
 	if p.IsInterfaceMethod(call) {
-		// memoTable/Counter-style dynamic dispatch — not chased.
+		// memoTable-style dynamic dispatch — not chased.
 		p.checkBoxing(fd, call, stack)
 		return
 	}

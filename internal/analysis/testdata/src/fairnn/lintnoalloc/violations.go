@@ -44,3 +44,25 @@ func sink(v any) int32 {
 }
 
 func cold(b *buf) { b.scratch = nil }
+
+// A lazy-init guard exempts only its body: the if's init statement,
+// condition and else branch run whether or not the guard holds.
+//
+//fairnn:noalloc
+func guardBodyOnly(b *buf) {
+	if err := fallible(); err != nil { // want "not annotated //fairnn:noalloc"
+		b.scratch = nil
+	}
+	if len(grown(b)) == 0 { // want "not annotated //fairnn:noalloc"
+		return
+	}
+	if b.scratch == nil {
+		b.scratch = make([]int32, 0, 8)
+	} else {
+		b.out = make([]int32, 4) // want "make in noalloc function"
+	}
+}
+
+func fallible() error { return nil }
+
+func grown(b *buf) []int32 { return b.scratch }

@@ -60,7 +60,7 @@ type rankedBase[P any] struct {
 
 // querier is the reusable per-query scratch: the L·K raw signature, the L
 // bucket keys and bucket pointers, a candidate buffer, the k-way-merge
-// heap, an optional count-distinct counter (Section 4), and a dedicated
+// heap, an optional count-distinct sketch (Section 4), and a dedicated
 // RNG stream reseeded per query. Steady-state queries touch only this
 // struct and therefore allocate nothing.
 //
@@ -90,7 +90,7 @@ type querier struct {
 	buckets []*rank.Bucket
 	cand    []int32
 	merger  rank.Merger
-	counter sketch.Counter
+	counter *sketch.Distinct
 	rng     rng.Source
 
 	// near-cache backend (see memo.go).

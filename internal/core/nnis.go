@@ -32,11 +32,6 @@ type IndependentOptions struct {
 	// SketchMinBucket is the bucket size below which sketches are built on
 	// demand instead of stored (the paper's Θ(log n) space rule).
 	SketchMinBucket int
-	// SketchKind selects the count-distinct implementation: sketch.KMV
-	// (the paper's Section 2.3 sketch, default) or sketch.HyperLogLog
-	// (~10x smaller at comparable practical accuracy; see the
-	// BenchmarkAblationSketchKind comparison).
-	SketchKind sketch.Kind
 	// Memo is the per-query memory discipline: which near-cache backend
 	// pooled queriers carry (dense arrays below Memo.DenseThreshold
 	// points, a compact o(n) table above) and how much scratch the
@@ -107,10 +102,10 @@ func (o IndependentOptions) withDefaults(n int) IndependentOptions {
 type Independent[P any] struct {
 	base     *rankedBase[P]
 	opts     IndependentOptions
-	skFamily sketch.CounterFamily
+	skFamily *sketch.Family
 	// sketches[i][key] is the stored sketch of bucket key in table i; small
 	// buckets have no entry and are sketched on demand.
-	sketches []map[uint64]sketch.Counter
+	sketches []map[uint64]*sketch.Distinct
 	maxK     int
 	met      *obs.QueryMetrics
 }
@@ -124,7 +119,7 @@ func NewIndependent[P any](space Space[P], family lsh.Family[P], params lsh.Para
 	}
 	n := len(points)
 	opts = opts.withDefaults(n)
-	skFamily, err := sketch.NewCounterFamily(opts.SketchKind, opts.SketchEpsilon, opts.SketchDelta, src)
+	skFamily, err := sketch.NewFamily(sketch.Params{Epsilon: opts.SketchEpsilon, Delta: opts.SketchDelta}, src)
 	if err != nil {
 		return nil, err
 	}
@@ -132,15 +127,15 @@ func NewIndependent[P any](space Space[P], family lsh.Family[P], params lsh.Para
 		base:     base,
 		opts:     opts,
 		skFamily: skFamily,
-		sketches: make([]map[uint64]sketch.Counter, params.L),
+		sketches: make([]map[uint64]*sketch.Distinct, params.L),
 		maxK:     nextPow2(n),
 		met:      obs.NewQueryMetrics(opts.Obs, "core"),
 	}
 	for i := range d.sketches {
-		m := make(map[uint64]sketch.Counter)
+		m := make(map[uint64]*sketch.Distinct)
 		for key, bucket := range base.tables[i].buckets {
 			if bucket.Len() >= opts.SketchMinBucket {
-				m[key] = skFamily.SketchIDs(bucket.IDs())
+				m[key] = skFamily.Sketch(bucket.IDs())
 			}
 		}
 		d.sketches[i] = m
@@ -191,14 +186,14 @@ func (d *Independent[P]) RetainedQueriers() int { return d.base.RetainedQueriers
 // estimateCandidates merges the count-distinct sketches of q's buckets and
 // returns ŝ_q (step 1 of the query). The bucket keys resolved by
 // rankedBase.resolve are threaded through the querier, so no table
-// re-hashes the query; the querier's counter is reset and reused, so the
+// re-hashes the query; the querier's sketch is reset and reused, so the
 // merge allocates nothing in steady state. Small buckets contribute their
 // ids directly — equivalent to merging their on-demand sketches.
 //
 //fairnn:noalloc
 func (d *Independent[P]) estimateCandidates(qr *querier, st *QueryStats) float64 {
 	if qr.counter == nil {
-		qr.counter = d.skFamily.NewCounter()
+		qr.counter = d.skFamily.NewSketch()
 	} else {
 		qr.counter.Reset()
 	}
@@ -211,7 +206,7 @@ func (d *Independent[P]) estimateCandidates(qr *querier, st *QueryStats) float64
 		empty = false
 		if sk := d.sketches[i][qr.keys[i]]; sk != nil {
 			// Stored sketch: merge (cost linear in sketch size).
-			if err := d.skFamily.MergeInto(acc, sk); err != nil {
+			if err := acc.Merge(sk); err != nil {
 				panic("core: sketch family mismatch (internal invariant)")
 			}
 			continue

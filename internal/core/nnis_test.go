@@ -7,7 +7,6 @@ import (
 	"fairnn/internal/lsh"
 	"fairnn/internal/rng"
 	"fairnn/internal/set"
-	"fairnn/internal/sketch"
 	"fairnn/internal/stats"
 )
 
@@ -271,50 +270,6 @@ func TestNextPow2(t *testing.T) {
 	for in, want := range cases {
 		if got := nextPow2(in); got != want {
 			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
-func TestIndependentWithHyperLogLogSketch(t *testing.T) {
-	// The HLL-backed variant must preserve uniformity: the sketch only
-	// seeds the initial segment count, and the k-halving absorbs estimate
-	// error of either sketch kind.
-	const ballSize = 8
-	d, err := NewIndependent[int](intSpace(), allCollide{}, lsh.Params{K: 1, L: 1},
-		lineDataset(64), float64(ballSize-1),
-		IndependentOptions{SketchKind: sketch.HyperLogLog}, 83)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freq := stats.NewFrequency()
-	const reps = 12000
-	for i := 0; i < reps; i++ {
-		id, ok := d.Sample(0, nil)
-		if !ok {
-			t.Fatal("query failed")
-		}
-		freq.Observe(id)
-	}
-	if tv := tvUniform(freq, domainInts(ballSize)); tv > 0.035 {
-		t.Errorf("HLL-backed TV = %v", tv)
-	}
-}
-
-func TestIndependentSketchKindsAgreeOnEstimate(t *testing.T) {
-	// Both sketch kinds should produce candidate estimates within their
-	// error bounds of the true count (64 with the allCollide family).
-	for _, kind := range []sketch.Kind{sketch.KMV, sketch.HyperLogLog} {
-		d, err := NewIndependent[int](intSpace(), allCollide{}, lsh.Params{K: 1, L: 1},
-			lineDataset(64), 5, IndependentOptions{SketchKind: kind}, 89)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st QueryStats
-		if _, ok := d.Sample(0, &st); !ok {
-			t.Fatal("query failed")
-		}
-		if st.SketchEstimate < 32 || st.SketchEstimate > 96 {
-			t.Errorf("kind %v: estimate %v for 64 candidates", kind, st.SketchEstimate)
 		}
 	}
 }

@@ -24,6 +24,8 @@ func NewPairwiseHash(r *Source) PairwiseHash {
 }
 
 // Hash evaluates the function on x. The result lies in [0, 2^61-1).
+//
+//fairnn:noalloc
 func (h PairwiseHash) Hash(x uint64) uint64 {
 	// Compute (a*x + b) mod (2^61-1) using 128-bit arithmetic.
 	hi, lo := mul64(h.a, x%mersenne61)
@@ -44,6 +46,8 @@ func (h PairwiseHash) Hash(x uint64) uint64 {
 }
 
 // Range returns the size of the hash range (2^61 - 1).
+//
+//fairnn:noalloc
 func (h PairwiseHash) Range() uint64 { return mersenne61 }
 
 // TabulationHash is a simple 4x16-bit tabulation hash over 64-bit keys.

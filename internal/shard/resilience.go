@@ -238,6 +238,7 @@ func (b *resilient[P]) call(ctx context.Context, c *slot[P], op int, fn func(con
 		}
 		if d := backoffDelay(&br, b.res.BackoffBase, b.res.BackoffMax, attempt); d > 0 {
 			b.met.backoff(d)
+			//fairnn:allocok retry-only backoff: reached after a failed attempt, never on a fault-free call
 			if sleepCtx(ctx, d) != nil {
 				return &ShardError{Shard: j, Op: opNames[op], Err: ctx.Err()}
 			}

@@ -19,7 +19,7 @@ package sketch
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"fairnn/internal/rng"
 )
@@ -65,7 +65,7 @@ func (p Params) capacityPerRow() int {
 	return t
 }
 
-// FamilySeed identifies the shared hash functions ψ_1..ψ_Δ. Two sketches
+// Family holds the shared hash functions ψ_1..ψ_Δ. Two sketches
 // can only be merged if they were created from the same Family.
 type Family struct {
 	params Params
@@ -122,6 +122,8 @@ func (f *Family) Sketch(ids []int32) *Distinct {
 }
 
 // Add inserts element x into the sketch.
+//
+//fairnn:noalloc
 func (s *Distinct) Add(x uint64) {
 	for w, h := range s.family.hashes {
 		s.insert(w, h.Hash(x))
@@ -130,10 +132,23 @@ func (s *Distinct) Add(x uint64) {
 
 // insert places value v into row w if it is among the t smallest distinct
 // values, keeping the row sorted.
+//
+//fairnn:noalloc
 func (s *Distinct) insert(w int, v uint64) {
 	row := s.rows[w]
 	t := s.family.t
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
+	// Lower bound: i is the first index with row[i] >= v. Written out so
+	// the search makes no call: sort.Search calls its closure per probe,
+	// and Go 1.24 does not inline slices.BinarySearch.
+	i, j := 0, len(row)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if row[h] < v {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
 	if i < len(row) && row[i] == v {
 		return // already present (distinct values only)
 	}
@@ -149,21 +164,29 @@ func (s *Distinct) insert(w int, v uint64) {
 }
 
 // Reset empties the sketch, keeping each row's capacity for reuse.
+//
+//fairnn:noalloc
 func (s *Distinct) Reset() {
 	for w := range s.rows {
 		s.rows[w] = s.rows[w][:0]
 	}
 }
 
+// errFamilyMismatch is Merge's refusal of a sketch from another Family.
+var errFamilyMismatch = errors.New("sketch: cannot merge sketches from different families")
+
 // Merge folds other into s. Both sketches must come from the same Family.
 // Merging sketches of stream segments yields exactly the sketch of the
-// concatenated stream (the property Section 4 relies on).
+// concatenated stream (the property Section 4 relies on). other is only
+// read: its rows are never aliased into s.
+//
+//fairnn:noalloc
 func (s *Distinct) Merge(other *Distinct) error {
 	if other == nil {
 		return nil
 	}
 	if s.family != other.family {
-		return errors.New("sketch: cannot merge sketches from different families")
+		return errFamilyMismatch
 	}
 	for w, row := range other.rows {
 		for _, v := range row {
@@ -173,18 +196,11 @@ func (s *Distinct) Merge(other *Distinct) error {
 	return nil
 }
 
-// Clone returns a deep copy of s (same family).
-func (s *Distinct) Clone() *Distinct {
-	c := s.family.NewSketch()
-	for w, row := range s.rows {
-		c.rows[w] = append([]uint64(nil), row...)
-	}
-	return c
-}
-
 // Estimate returns the estimated number of distinct elements: the median
 // over rows of t·M/v_t, or the exact count when a row holds fewer than t
 // values (then the row has seen every distinct element).
+//
+//fairnn:noalloc
 func (s *Distinct) Estimate() float64 {
 	f := s.family
 	if cap(s.estScratch) < len(s.rows) {
@@ -207,31 +223,8 @@ func (s *Distinct) Estimate() float64 {
 		m := float64(f.hashes[w].Range())
 		ests = append(ests, float64(f.t)*m/float64(vt))
 	}
-	sort.Float64s(ests)
+	slices.Sort(ests)
 	return ests[len(ests)/2]
-}
-
-// MergedEstimate merges the given sketches (without mutating them) and
-// returns the estimate of the union. A nil entry is skipped. Returns 0 when
-// all inputs are nil or empty.
-func MergedEstimate(sketches ...*Distinct) (float64, error) {
-	var acc *Distinct
-	for _, sk := range sketches {
-		if sk == nil {
-			continue
-		}
-		if acc == nil {
-			acc = sk.Clone()
-			continue
-		}
-		if err := acc.Merge(sk); err != nil {
-			return 0, err
-		}
-	}
-	if acc == nil {
-		return 0, nil
-	}
-	return acc.Estimate(), nil
 }
 
 // MemoryWords returns an estimate of the sketch size in 64-bit words,

@@ -154,29 +154,28 @@ func TestMergeNil(t *testing.T) {
 }
 
 func TestMergedEstimate(t *testing.T) {
+	// Section 4's arm: reset one accumulator and merge the buckets'
+	// sketches into it, skipping buckets without one. The inputs must
+	// come out untouched, and share no row storage with the accumulator.
 	f := mustFamily(t, 0.5, 0.05, 8)
 	s1 := f.Sketch([]int32{1, 2, 3})
 	s2 := f.Sketch([]int32{3, 4, 5})
-	est, err := MergedEstimate(s1, nil, s2)
-	if err != nil {
-		t.Fatal(err)
+	acc := f.NewSketch()
+	for _, sk := range []*Distinct{s1, nil, s2} {
+		if err := acc.Merge(sk); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if est != 5 {
-		t.Errorf("MergedEstimate = %v, want 5 (small union is exact)", est)
+	if est := acc.Estimate(); est != 5 {
+		t.Errorf("merged estimate = %v, want 5 (small union is exact)", est)
 	}
-	est, err = MergedEstimate()
-	if err != nil || est != 0 {
-		t.Errorf("empty MergedEstimate = %v, %v", est, err)
+	acc.Add(100)
+	if e1, e2 := s1.Estimate(), s2.Estimate(); e1 != 3 || e2 != 3 {
+		t.Errorf("inputs changed by the merge: estimates %v, %v, want 3, 3", e1, e2)
 	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	f := mustFamily(t, 0.5, 0.1, 9)
-	s := f.Sketch([]int32{1, 2, 3})
-	c := s.Clone()
-	c.Add(100)
-	if s.Estimate() == c.Estimate() {
-		t.Error("Clone shares row storage")
+	acc.Reset()
+	if est := acc.Estimate(); est != 0 {
+		t.Errorf("estimate after Reset = %v, want 0", est)
 	}
 }
 

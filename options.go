@@ -1,6 +1,7 @@
 package fairnn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -408,11 +409,14 @@ func WithTraceSampling(everyN int) Option {
 
 // WithIndependentOptions tunes the Section 4 constructions (NNIS,
 // Weighted, MultiRadius); the zero value follows the paper. Its Obs and
-// Memo fields must stay zero: Observe and WithMemo are their knobs. Any
-// other algorithm rejects it with ErrBadOption.
+// Memo fields must stay zero: Observe and WithMemo are their knobs.
+// SketchEpsilon and SketchDelta must be below 1 (zero or negative
+// selects the default). Any other algorithm rejects it with ErrBadOption.
 func WithIndependentOptions(o IndependentOptions) Option {
 	return func(b *builder) {
-		if err := ownKnobs("IndependentOptions", o.Obs, o.Memo); err != nil {
+		if err := cmp.Or(ownKnobs("IndependentOptions", o.Obs, o.Memo),
+			belowOne("IndependentOptions.SketchEpsilon", o.SketchEpsilon),
+			belowOne("IndependentOptions.SketchDelta", o.SketchDelta)); err != nil {
 			b.fail(err)
 			return
 		}
@@ -422,16 +426,26 @@ func WithIndependentOptions(o IndependentOptions) Option {
 
 // WithVecOptions tunes the Section 5 Filter construction; the zero value
 // follows the paper. Its Obs and Memo fields must stay zero: Observe and
-// WithMemo are their knobs. Any other algorithm rejects it with
-// ErrBadOption.
+// WithMemo are their knobs. Eps must be below 1 (zero or negative selects
+// the default). Any other algorithm rejects it with ErrBadOption.
 func WithVecOptions(o VecOptions) Option {
 	return func(b *builder) {
-		if err := ownKnobs("VecOptions", o.Obs, o.Memo); err != nil {
+		if err := cmp.Or(ownKnobs("VecOptions", o.Obs, o.Memo), belowOne("VecOptions.Eps", o.Eps)); err != nil {
 			b.fail(err)
 			return
 		}
 		b.vopts, b.voptsSet = o, true
 	}
+}
+
+// belowOne refuses a probability-valued tuning field that the build
+// would reject: 1 or more, or NaN. Zero or negative keeps meaning
+// "default".
+func belowOne(name string, v float64) error {
+	if !(v < 1) {
+		return fmt.Errorf("%w: %s = %v, want below 1 (≤ 0 for the default)", ErrBadOption, name, v)
+	}
+	return nil
 }
 
 // ownKnobs rejects the options-struct fields that have a builder option

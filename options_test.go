@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -212,6 +213,34 @@ func TestBuilderTypedErrors(t *testing.T) {
 		fairnn.WithVecOptions(fairnn.VecOptions{T: 8, M1T: 300}))
 	if !errors.Is(err, fairnn.ErrBadOption) || !strings.Contains(err.Error(), "T=8, M1T=300") {
 		t.Errorf("overflowing filter geometry err = %v, want ErrBadOption naming T=8, M1T=300", err)
+	}
+	// Sketch and filter accuracies the build would refuse (1 or more, or
+	// NaN) are typed option errors on every build path; zero or negative
+	// still selects the default.
+	for _, o := range []fairnn.IndependentOptions{{SketchEpsilon: 2}, {SketchEpsilon: 1}, {SketchEpsilon: math.NaN()},
+		{SketchDelta: 1.5}, {SketchDelta: math.NaN()}} {
+		_, setErr := fairnn.NewSet(sets, fairnn.Radius(0.5), fairnn.WithIndependentOptions(o))
+		_, shardErr := fairnn.NewSet(sets, fairnn.Radius(0.5), fairnn.WithShards(2), fairnn.WithIndependentOptions(o))
+		for _, err := range []error{setErr, shardErr} {
+			if !errors.Is(err, fairnn.ErrBadOption) {
+				t.Errorf("IndependentOptions{SketchEpsilon: %v, SketchDelta: %v} err = %v, want ErrBadOption", o.SketchEpsilon, o.SketchDelta, err)
+			}
+		}
+	}
+	for _, eps := range []float64{2, 1, math.NaN()} {
+		_, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.5),
+			fairnn.WithVecOptions(fairnn.VecOptions{Eps: eps}))
+		if !errors.Is(err, fairnn.ErrBadOption) {
+			t.Errorf("VecOptions{Eps: %v} err = %v, want ErrBadOption", eps, err)
+		}
+	}
+	if _, err := fairnn.NewSet(sets, fairnn.Radius(0.5),
+		fairnn.WithIndependentOptions(fairnn.IndependentOptions{SketchEpsilon: -1, SketchDelta: 0})); err != nil {
+		t.Errorf("default sketch accuracies err = %v, want nil", err)
+	}
+	if _, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.5),
+		fairnn.WithVecOptions(fairnn.VecOptions{Eps: -1})); err != nil {
+		t.Errorf("default VecOptions.Eps err = %v, want nil", err)
 	}
 	// Observe and WithMemo are the only telemetry and memo knobs: the
 	// same fields inside an options struct are refused, never dropped,

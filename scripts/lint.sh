@@ -18,7 +18,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-tool="${FAIRNNLINT:-$(mktemp -d)/fairnnlint}"
+# FAIRNNLINT names where to keep the built analyzer binary; without it
+# the binary goes to a temporary directory that is removed on exit.
+if [[ -n "${FAIRNNLINT:-}" ]]; then
+  tool=$FAIRNNLINT
+else
+  tmp=$(mktemp -d)
+  trap 'rm -rf "$tmp"' EXIT
+  tool=$tmp/fairnnlint
+fi
 case "$tool" in /*) ;; *) tool="$PWD/$tool" ;; esac
 
 echo "lint: go vet (stock analyzers)"
