@@ -188,7 +188,14 @@ func (d *Independent[P]) RetainedQueriers() int { return d.base.RetainedQueriers
 // rankedBase.resolve are threaded through the querier, so no table
 // re-hashes the query; the querier's sketch is reset and reused, so the
 // merge allocates nothing in steady state. Small buckets contribute their
-// ids directly — equivalent to merging their on-demand sketches.
+// ids directly — equivalent to merging their on-demand sketches. A sketch
+// depends only on the set of values added, so those ids are gathered in
+// the candidate scratch (free until the rejection loop) and deduplicated
+// first: each distinct id is hashed once, not once per table.
+//
+// With no stored sketch merged and fewer than t distinct ids, the sketch
+// is skipped: every row would hold all d hashed ids (rng.PairwiseHash is
+// injective on ids), so Estimate would return d exactly.
 //
 //fairnn:noalloc
 func (d *Independent[P]) estimateCandidates(qr *querier, st *QueryStats) float64 {
@@ -198,28 +205,35 @@ func (d *Independent[P]) estimateCandidates(qr *querier, st *QueryStats) float64
 		qr.counter.Reset()
 	}
 	acc := qr.counter
-	empty := true
+	merged := false
+	ids := qr.cand[:0]
 	for i, bucket := range qr.buckets {
 		if bucket == nil || bucket.Len() == 0 {
 			continue
 		}
-		empty = false
 		if sk := d.sketches[i][qr.keys[i]]; sk != nil {
 			// Stored sketch: merge (cost linear in sketch size).
 			if err := acc.Merge(sk); err != nil {
 				panic("core: sketch family mismatch (internal invariant)")
 			}
+			merged = true
 			continue
 		}
 		// Small bucket: sketch on demand.
-		for _, id := range bucket.IDs() {
+		ids = append(ids, bucket.IDs()...)
+	}
+	qr.cand = ids[:0]
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	var est float64
+	if !merged && len(ids) < d.skFamily.Capacity() {
+		est = float64(len(ids)) // 0 when q collides with no bucket
+	} else {
+		for _, id := range ids {
 			acc.Add(uint64(uint32(id)))
 		}
+		est = acc.Estimate()
 	}
-	if empty {
-		return 0
-	}
-	est := acc.Estimate()
 	if st != nil {
 		st.SketchEstimate = est
 	}

@@ -153,6 +153,24 @@ func TestIndependentSketchEstimateRecorded(t *testing.T) {
 	if st.FinalK == 0 {
 		t.Error("no final k recorded")
 	}
+
+	// A query that collides with no bucket records ŝ = 0 instead of
+	// leaving the previous query's estimate in a reused record.
+	sd, err := NewIndependent[int](intSpace(), stripedLine{}, lsh.Params{K: 1, L: 8}, lineDataset(1024), 3,
+		IndependentOptions{SketchMinBucket: 16}, 401)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = QueryStats{}
+	if _, ok := sd.Sample(100, &st); !ok || st.SketchEstimate == 0 {
+		t.Fatalf("near query: ok=%v, estimate %v", ok, st.SketchEstimate)
+	}
+	if _, ok := sd.Sample(1<<40, &st); ok {
+		t.Fatal("far query returned a point")
+	}
+	if st.SketchEstimate != 0 {
+		t.Errorf("far query left estimate %v, want 0", st.SketchEstimate)
+	}
 }
 
 func TestIndependentSampleK(t *testing.T) {

@@ -1,5 +1,7 @@
 package rng
 
+import "math/bits"
+
 // This file implements the pairwise-independent hash families from
 // Section 2.3 of the paper (used by the count-distinct sketch) and the
 // universal family used to draw the random rank permutation of Section 3.
@@ -11,7 +13,9 @@ const mersenne61 = (1 << 61) - 1
 // PairwiseHash is a pairwise-independent hash function
 // h(x) = ((a*x + b) mod p) with p = 2^61 - 1, a in [1, p), b in [0, p).
 // Its outputs are uniform in [0, 2^61-1) and pairwise independent, which is
-// exactly the guarantee the Bar-Yossef et al. F0 sketch requires.
+// exactly the guarantee the Bar-Yossef et al. F0 sketch requires. Since p
+// is prime and a ≠ 0, h is a bijection of [0, p): distinct inputs below
+// 2^61-1 never collide.
 type PairwiseHash struct {
 	a, b uint64
 }
@@ -28,7 +32,7 @@ func NewPairwiseHash(r *Source) PairwiseHash {
 //fairnn:noalloc
 func (h PairwiseHash) Hash(x uint64) uint64 {
 	// Compute (a*x + b) mod (2^61-1) using 128-bit arithmetic.
-	hi, lo := mul64(h.a, x%mersenne61)
+	hi, lo := bits.Mul64(h.a, x%mersenne61)
 	// Reduce the 128-bit product modulo 2^61-1:
 	// value = hi*2^64 + lo = hi*8*(2^61) + lo ≡ hi*8 + lo (mod 2^61-1) needs care;
 	// use the standard fold: (x mod 2^61) + (x >> 61).

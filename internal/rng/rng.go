@@ -8,7 +8,10 @@
 // repository derives all randomness from an explicit *rng.Source.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic pseudo-random number generator
 // (xoshiro256** by Blackman and Vigna, seeded with splitmix64).
@@ -91,31 +94,14 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// 128-bit multiply via hi/lo decomposition.
+	// The high word of the 128-bit product v·n, rejecting biased low words.
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(v, n)
 		if lo >= n || lo >= (-n)%n {
 			return hi
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-//
-//fairnn:noalloc
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

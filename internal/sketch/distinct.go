@@ -92,6 +92,8 @@ func NewFamily(params Params, r *rng.Source) (*Family, error) {
 func (f *Family) Rows() int { return len(f.hashes) }
 
 // Capacity returns t, the number of minima kept per row.
+//
+//fairnn:noalloc
 func (f *Family) Capacity() int { return f.t }
 
 // Distinct is one F0 sketch. The zero value is not usable; create sketches
@@ -137,6 +139,9 @@ func (s *Distinct) Add(x uint64) {
 func (s *Distinct) insert(w int, v uint64) {
 	row := s.rows[w]
 	t := s.family.t
+	if len(row) == t && v >= row[t-1] {
+		return // not below the current t-th minimum
+	}
 	// Lower bound: i is the first index with row[i] >= v. Written out so
 	// the search makes no call: sort.Search calls its closure per probe,
 	// and Go 1.24 does not inline slices.BinarySearch.
@@ -151,9 +156,6 @@ func (s *Distinct) insert(w int, v uint64) {
 	}
 	if i < len(row) && row[i] == v {
 		return // already present (distinct values only)
-	}
-	if len(row) == t && i == t {
-		return // larger than current t-th minimum
 	}
 	if len(row) < t {
 		row = append(row, 0)
@@ -209,19 +211,15 @@ func (s *Distinct) Estimate() float64 {
 	ests := s.estScratch[:0]
 	for w, row := range s.rows {
 		if len(row) < f.t {
-			// Fewer than t distinct hashed values: exact distinct count
-			// (pairwise-independent hashing over a 61-bit range makes
-			// collisions negligible at the scales used here).
+			// Fewer than t distinct hashed values: the exact distinct
+			// count, since ψ_w maps distinct inputs below 2^61-1 to
+			// distinct values (rng.PairwiseHash).
 			ests = append(ests, float64(len(row)))
 			continue
 		}
-		vt := row[len(row)-1]
-		if vt == 0 {
-			ests = append(ests, float64(len(row)))
-			continue
-		}
+		// A full row holds t ≥ 2 distinct values, so v_t ≥ 1.
 		m := float64(f.hashes[w].Range())
-		ests = append(ests, float64(f.t)*m/float64(vt))
+		ests = append(ests, float64(f.t)*m/float64(row[len(row)-1]))
 	}
 	slices.Sort(ests)
 	return ests[len(ests)/2]
