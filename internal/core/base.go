@@ -91,7 +91,10 @@ type querier struct {
 	cand    []int32
 	merger  rank.Merger
 	counter *sketch.Distinct
-	rng     rng.Source
+	// skBuf is the arm's sketch candidate buffer (sketch.Distinct.AddIDs):
+	// the hashed ids one row keeps before its sort, up to len(ids)+t.
+	skBuf []uint64
+	rng   rng.Source
 
 	// near-cache backend (see memo.go).
 	near memoTable
@@ -126,7 +129,7 @@ type querier struct {
 func (qr *querier) scratchBytes() int {
 	return qr.near.retainedBytes() +
 		4*(cap(qr.cand)+cap(qr.mergedIDs)+cap(qr.mergedRanks)) +
-		4*cap(qr.pend) + cap(qr.verd) + 8*cap(qr.scoreOut)
+		4*cap(qr.pend) + cap(qr.verd) + 8*(cap(qr.scoreOut)+cap(qr.skBuf))
 }
 
 // trim enforces the pool's scratch budget — on the querier's summed
@@ -144,6 +147,7 @@ func (qr *querier) trim(budget int) {
 	qr.mergedIDs, qr.mergedRanks = nil, nil
 	qr.isMerged = false
 	qr.pend, qr.verd, qr.scoreOut = nil, nil, nil
+	qr.skBuf = nil
 	qr.near.shrink(budget)
 }
 

@@ -386,6 +386,41 @@ func TestPutQuerierTrimsOversizedScratch(t *testing.T) {
 	}
 }
 
+// TestArmSketchBufferIsScratch pins the arm's sketch candidate buffer
+// into the ScratchBudget discipline: an arm over more than t distinct
+// on-demand ids leaves sketch.Distinct.AddIDs's buffer in the querier,
+// counted at 8 B per value by scratchBytes, and trim under a small budget
+// frees it.
+func TestArmSketchBufferIsScratch(t *testing.T) {
+	const n = 200
+	d, err := NewIndependent[int](intSpace(), allCollide{}, lsh.Params{K: 1, L: 2}, lineDataset(n), 3,
+		IndependentOptions{SketchMinBucket: 1 << 30}, 283)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capacity := d.skFamily.Capacity(); n <= capacity {
+		t.Fatalf("%d distinct ids do not exceed t = %d", n, capacity)
+	}
+	qr := d.base.getQuerier()
+	defer d.base.putQuerier(qr)
+	d.base.resolve(0, qr, nil)
+	d.estimateCandidates(qr, nil)
+	buf := qr.skBuf
+	if cap(buf) == 0 {
+		t.Fatalf("an arm over %d distinct ids left no sketch buffer", n)
+	}
+	with := qr.scratchBytes()
+	qr.skBuf = nil
+	if got := with - qr.scratchBytes(); got != 8*cap(buf) {
+		t.Fatalf("scratchBytes counts %d B for the sketch buffer, want 8·cap = %d B", got, 8*cap(buf))
+	}
+	qr.skBuf = buf
+	qr.trim(64)
+	if qr.skBuf != nil {
+		t.Fatalf("trim under a 64 B budget kept the %d-value sketch buffer", cap(qr.skBuf))
+	}
+}
+
 // TestFilterTrimEnforcesSummedBudget pins the Section 5 side of the
 // budget contract: the fiQuerier's total footprint — similarity memo,
 // rejection working set, plan buffers, and filter scratch together —

@@ -191,7 +191,9 @@ func (d *Independent[P]) RetainedQueriers() int { return d.base.RetainedQueriers
 // ids directly — equivalent to merging their on-demand sketches. A sketch
 // depends only on the set of values added, so those ids are gathered in
 // the candidate scratch (free until the rejection loop) and deduplicated
-// first: each distinct id is hashed once, not once per table.
+// first, so each distinct id is hashed once per sketch row, not once per
+// table. sketch.Distinct.AddIDs then fills one row at a time, its
+// candidate buffer kept in the querier's scratch (qr.skBuf).
 //
 // With no stored sketch merged and fewer than t distinct ids, the sketch
 // is skipped: every row would hold all d hashed ids (rng.PairwiseHash is
@@ -229,9 +231,7 @@ func (d *Independent[P]) estimateCandidates(qr *querier, st *QueryStats) float64
 	if !merged && len(ids) < d.skFamily.Capacity() {
 		est = float64(len(ids)) // 0 when q collides with no bucket
 	} else {
-		for _, id := range ids {
-			acc.Add(uint64(uint32(id)))
-		}
+		qr.skBuf = acc.AddIDs(ids, qr.skBuf)
 		est = acc.Estimate()
 	}
 	if st != nil {

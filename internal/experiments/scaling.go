@@ -71,6 +71,9 @@ type ScalingRow struct {
 	Micros float64
 	// ExactMicros is the mean wall time of the linear-scan baseline.
 	ExactMicros float64
+	// ExactEvals is the mean number of score evaluations of the linear
+	// scan (n per query).
+	ExactEvals float64
 	// SpaceRefs counts stored point references across banks (linear-space
 	// check: must equal L·n exactly).
 	SpaceRefs int
@@ -90,7 +93,9 @@ type ScalingResult struct {
 	// CandidateExponent is the least-squares slope of log(candidates)
 	// vs log(n); Theorem 3 predicts ≈ ρ + o(1), and in particular < 1.
 	CandidateExponent float64
-	// ExactExponent is the slope for the linear scan (≈ 1).
+	// ExactExponent is the slope of log(exact-scan score evaluations) vs
+	// log(n): a work count, like CandidateExponent, so it reads 1 for the
+	// linear scan whatever the host's timing noise.
 	ExactExponent float64
 }
 
@@ -108,7 +113,7 @@ func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 			return nil, err
 		}
 		exact := core.NewExact[vector.Vec](core.InnerProduct(), w.Points, cfg.Alpha, cfg.Seed)
-		var cand, evals, micros, exactMicros float64
+		var cand, evals, micros, exactMicros, exactEvals float64
 		for qi := 0; qi < cfg.QueriesPerN; qi++ {
 			var st core.QueryStats
 			start := time.Now()
@@ -116,9 +121,11 @@ func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 			micros += float64(time.Since(start).Nanoseconds()) / 1000
 			cand += float64(st.PointsInspected + st.Rounds)
 			evals += float64(st.FilterEvals)
+			var est core.QueryStats
 			start = time.Now()
-			exact.Sample(w.Query, nil)
+			exact.Sample(w.Query, &est)
 			exactMicros += float64(time.Since(start).Nanoseconds()) / 1000
+			exactEvals += float64(est.ScoreEvals)
 		}
 		q := float64(cfg.QueriesPerN)
 		row := ScalingRow{
@@ -127,6 +134,7 @@ func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 			FilterEvals: evals / q,
 			Micros:      micros / q,
 			ExactMicros: exactMicros / q,
+			ExactEvals:  exactEvals / q,
 			SpaceRefs:   fi.Banks() * n,
 			Banks:       fi.Banks(),
 		}
@@ -140,7 +148,7 @@ func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	res.CandidateExponent = fitExponent(res.Rows, func(r ScalingRow) float64 { return r.Candidates })
-	res.ExactExponent = fitExponent(res.Rows, func(r ScalingRow) float64 { return r.ExactMicros })
+	res.ExactExponent = fitExponent(res.Rows, func(r ScalingRow) float64 { return r.ExactEvals })
 	return res, nil
 }
 

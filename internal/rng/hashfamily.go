@@ -31,22 +31,17 @@ func NewPairwiseHash(r *Source) PairwiseHash {
 //
 //fairnn:noalloc
 func (h PairwiseHash) Hash(x uint64) uint64 {
-	// Compute (a*x + b) mod (2^61-1) using 128-bit arithmetic.
-	hi, lo := bits.Mul64(h.a, x%mersenne61)
-	// Reduce the 128-bit product modulo 2^61-1:
-	// value = hi*2^64 + lo = hi*8*(2^61) + lo ≡ hi*8 + lo (mod 2^61-1) needs care;
-	// use the standard fold: (x mod 2^61) + (x >> 61).
-	folded := (lo & mersenne61) + ((lo >> 61) | (hi << 3))
-	folded = (folded & mersenne61) + (folded >> 61)
-	if folded >= mersenne61 {
-		folded -= mersenne61
+	// Compute (a*x + b) mod p, p = 2^61-1, by Mersenne folds: any v is
+	// congruent to (v & p) + (v >> 61) mod p. The input fold leaves x below
+	// 2^62, so a*x < 2^123; the product's fold plus b stays below 2^63, a
+	// second fold leaves at most p+3, and one subtraction the residue.
+	hi, lo := bits.Mul64(h.a, (x&mersenne61)+(x>>61))
+	v := (lo & mersenne61) + (lo>>61 | hi<<3) + h.b
+	v = (v & mersenne61) + (v >> 61)
+	if v >= mersenne61 {
+		v -= mersenne61
 	}
-	sum := folded + h.b
-	sum = (sum & mersenne61) + (sum >> 61)
-	if sum >= mersenne61 {
-		sum -= mersenne61
-	}
-	return sum
+	return v
 }
 
 // Range returns the size of the hash range (2^61 - 1).

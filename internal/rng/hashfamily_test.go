@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +14,39 @@ func TestPairwiseHashRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPairwiseHashMatchesBig checks Hash against (a·x + b) mod (2^61-1)
+// computed in math/big, at the edges of the input and product folds
+// (inputs around p and 2^61, up to 2^64-1; multipliers 1 and p-1) and at
+// random points.
+func TestPairwiseHashMatchesBig(t *testing.T) {
+	const p = mersenne61
+	r := New(61)
+	xs := []uint64{0, 1, p - 1, p, p + 1, 1 << 61, math.MaxUint64}
+	as := []uint64{1, p - 1}
+	for range 200 {
+		xs = append(xs, r.Uint64())
+	}
+	for range 20 {
+		as = append(as, r.Uint64n(p-1)+1)
+	}
+	bigP := new(big.Int).SetUint64(p)
+	want := new(big.Int)
+	for _, a := range as {
+		for _, b := range []uint64{0, p - 1, r.Uint64n(p)} {
+			h := PairwiseHash{a: a, b: b}
+			for _, x := range xs {
+				want.SetUint64(a)
+				want.Mul(want, new(big.Int).SetUint64(x))
+				want.Add(want, new(big.Int).SetUint64(b))
+				want.Mod(want, bigP)
+				if got := h.Hash(x); got != want.Uint64() {
+					t.Fatalf("a=%d b=%d x=%d: Hash = %d, want %d", a, b, x, got, want.Uint64())
+				}
+			}
+		}
 	}
 }
 

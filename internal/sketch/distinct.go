@@ -19,6 +19,7 @@ package sketch
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 
 	"fairnn/internal/rng"
@@ -117,9 +118,7 @@ func (f *Family) NewSketch() *Distinct {
 // Sketch builds a sketch of the given ids in one pass.
 func (f *Family) Sketch(ids []int32) *Distinct {
 	s := f.NewSketch()
-	for _, id := range ids {
-		s.Add(uint64(uint32(id)))
-	}
+	s.AddIDs(ids, nil)
 	return s
 }
 
@@ -130,6 +129,70 @@ func (s *Distinct) Add(x uint64) {
 	for w, h := range s.family.hashes {
 		s.insert(w, h.Hash(x))
 	}
+}
+
+// AddIDs adds every id as uint64(uint32(id)) and leaves each row exactly
+// as calling Add once per id would, in any order and with repeats allowed.
+// It works one row at a time: each id is hashed once per row, only the
+// values at or below a threshold τ are kept (about t + 4√t of them for
+// uniform hashes), and one sort of those plus the row's own values gives
+// the row's t smallest. buf is the candidate scratch; it grows to at most
+// len(ids)+t values and is returned for reuse.
+//
+//fairnn:noalloc
+func (s *Distinct) AddIDs(ids []int32, buf []uint64) []uint64 {
+	t := s.family.t
+	return s.addIDs(ids, buf, uint64(t)+uint64(4*math.Sqrt(float64(t))))
+}
+
+// addIDs is AddIDs with the threshold's expected pass count c ≥ 1 as a
+// parameter. τ starts at min(bound, ⌊M/m⌋·c): bound is the row's t-th value
+// when the row is full (nothing above it can enter) and M−1 otherwise, and
+// m = len(ids)+len(row) bounds the distinct values the row sees. A pass
+// that keeps fewer than t values while τ < bound doubles τ and repeats, so
+// every value left out is larger than every value kept.
+//
+//fairnn:noalloc
+func (s *Distinct) addIDs(ids []int32, buf []uint64, c uint64) []uint64 {
+	if len(ids) == 0 {
+		return buf
+	}
+	t := s.family.t
+	for w, h := range s.family.hashes {
+		row := s.rows[w]
+		bound := h.Range() - 1
+		if len(row) == t {
+			bound = row[t-1]
+		}
+		tau := bound
+		if hi, lo := bits.Mul64(h.Range()/uint64(len(ids)+len(row)), c); hi == 0 && lo < bound {
+			tau = lo
+		}
+		for {
+			buf = buf[:0]
+			for _, id := range ids {
+				if v := h.Hash(uint64(uint32(id))); v <= tau {
+					buf = append(buf, v)
+				}
+			}
+			for _, v := range row {
+				if v > tau {
+					break // the row is sorted
+				}
+				buf = append(buf, v)
+			}
+			slices.Sort(buf)
+			buf = slices.Compact(buf)
+			if len(buf) >= t || tau == bound {
+				break
+			}
+			tau = min(2*tau, bound)
+		}
+		row = row[:0]
+		row = append(row, buf[:min(len(buf), t)]...)
+		s.rows[w] = row
+	}
+	return buf
 }
 
 // insert places value v into row w if it is among the t smallest distinct

@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -208,4 +210,101 @@ func TestMemoryWords(t *testing.T) {
 	if s.MemoryWords() != f.Rows() {
 		t.Errorf("one element should occupy one slot per row: %d vs %d", s.MemoryWords(), f.Rows())
 	}
+}
+
+// TestAddIDsMatchesAdd checks the row-major kernel against the per-id
+// reference, row for row: AddIDs must leave every row exactly as calling
+// Add once per id does. Inputs are random id multisets (repeats and
+// negative ids included) added to an empty sketch, to rows that Merge left
+// partly filled, and to full rows that share values with the new ids; each
+// case also runs from a tiny threshold (about one value expected to pass),
+// so the τ-doubling pass runs on every row that ends with t values.
+func TestAddIDsMatchesAdd(t *testing.T) {
+	f := mustFamily(t, 0.5, 1/(6.0*1892*1892), 13)
+	capacity := f.Capacity()
+	r := rng.New(14)
+	draw := func(n, span int) []int32 {
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(r.Intn(span)) - int32(span/8)
+		}
+		return ids
+	}
+	prefills := map[string][]int32{
+		"empty":   nil,
+		"partial": draw(capacity/2, 1<<12),
+		"full":    draw(5000, 1<<12),
+	}
+	for _, n := range []int{0, capacity - 1, capacity, capacity + 1, 1197, 5000} {
+		// A span of 2n/3 gives each size repeats; the full rows' span
+		// covers it, so row values and new hashes coincide.
+		ids := draw(n, max(2*n/3, 1))
+		for name, pre := range prefills {
+			for _, tiny := range []bool{false, true} {
+				ref, got := f.NewSketch(), f.NewSketch()
+				if pre != nil {
+					seed := f.Sketch(pre)
+					if err := ref.Merge(seed); err != nil {
+						t.Fatal(err)
+					}
+					if err := got.Merge(seed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, id := range ids {
+					ref.Add(uint64(uint32(id)))
+				}
+				if tiny {
+					got.addIDs(ids, nil, 1)
+				} else {
+					got.AddIDs(ids, nil)
+				}
+				label := fmt.Sprintf("n=%d prefill=%s tiny=%v", n, name, tiny)
+				for w := range ref.rows {
+					if !slices.Equal(got.rows[w], ref.rows[w]) {
+						t.Fatalf("%s: row %d holds %d values, want %d:\n got %v\nwant %v",
+							label, w, len(got.rows[w]), len(ref.rows[w]), got.rows[w], ref.rows[w])
+					}
+				}
+				if g, w := got.Estimate(), ref.Estimate(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: estimate %v, want %v", label, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDistinctArm times the Section 4 arm's sketch at nnis-set's
+// shape: 1197 distinct on-demand ids below n = 1892, δ = 1/(6n²) (Δ = 69
+// rows) and t = 64, added to a reset sketch and estimated, either id by
+// id through Add or row by row through AddIDs.
+func BenchmarkDistinctArm(b *testing.B) {
+	const n, distinct = 1892, 1197
+	f, err := NewFamily(Params{Epsilon: 0.5, Delta: 1 / (6.0 * n * n)}, rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if f.Rows() != 69 || f.Capacity() != 64 {
+		b.Fatalf("shape Δ=%d t=%d, want 69 and 64", f.Rows(), f.Capacity())
+	}
+	ids := rng.New(8).Perm(n)[:distinct]
+	slices.Sort(ids)
+	s := f.NewSketch()
+	b.Run("add", func(b *testing.B) {
+		for b.Loop() {
+			s.Reset()
+			for _, id := range ids {
+				s.Add(uint64(uint32(id)))
+			}
+			s.Estimate()
+		}
+	})
+	b.Run("addids", func(b *testing.B) {
+		var buf []uint64
+		for b.Loop() {
+			s.Reset()
+			buf = s.AddIDs(ids, buf)
+			s.Estimate()
+		}
+	})
 }
