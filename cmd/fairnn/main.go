@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	fairnn -exp fig1|fig2|fig3|q3|validate|scaling|chaos|all [-scale small|paper] [-csv dir] [-seed n] [-memo auto|dense|compact] [-shards s]
+//	fairnn -exp fig1|fig2|fig3|q3|validate|scaling|chaos|all [-scale small|paper] [-csv dir] [-seed n] [-shards s]
 //
 // The "paper" scale matches the publication protocol (50 queries, 26 000
 // repetitions, full-size datasets) and takes minutes; "small" (default)
@@ -19,22 +19,19 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"fairnn"
 	"fairnn/internal/experiments"
 )
 
-// parseMemo maps the -memo flag to the per-query memory discipline of the
-// pooled samplers (the PR 3 backend knob).
-func parseMemo(s string) (fairnn.MemoOptions, error) {
+// parseScale maps the -scale flag to whether the full paper protocol
+// runs (true) or the small default (false).
+func parseScale(s string) (paper bool, err error) {
 	switch s {
-	case "", "auto":
-		return fairnn.MemoOptions{Backend: fairnn.MemoAuto}, nil
-	case "dense":
-		return fairnn.MemoOptions{Backend: fairnn.MemoDense}, nil
-	case "compact":
-		return fairnn.MemoOptions{Backend: fairnn.MemoCompact}, nil
+	case "small":
+		return false, nil
+	case "paper":
+		return true, nil
 	}
-	return fairnn.MemoOptions{}, fmt.Errorf("unknown -memo value %q (want auto, dense or compact)", s)
+	return false, fmt.Errorf("unknown -scale value %q (want small or paper)", s)
 }
 
 func main() {
@@ -43,12 +40,11 @@ func main() {
 		scale  = flag.String("scale", "small", "small (fast, same shapes) or paper (full protocol)")
 		csvDir = flag.String("csv", "", "directory to also write CSV files into (optional)")
 		seed   = flag.Uint64("seed", 0, "override the experiment seed (0 keeps defaults)")
-		memoF  = flag.String("memo", "auto", "per-query memo backend: auto | dense | compact")
 		shards = flag.Int("shards", 0, "shard count for validate/scaling (0 = unsharded only) and chaos (0 = default)")
 	)
 	flag.Parse()
 
-	memo, err := parseMemo(*memoF)
+	paper, err := parseScale(*scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -60,7 +56,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	paper := *scale == "paper"
 	switch *exp {
 	case "fig1":
 		runFig1(paper, *csvDir, *seed)
@@ -69,20 +64,20 @@ func main() {
 	case "fig3":
 		runFig3(paper, *csvDir, *seed)
 	case "q3":
-		runQ3(paper, *csvDir, *seed, memo)
+		runQ3(paper, *csvDir, *seed)
 	case "validate":
-		runValidate(paper, *seed, memo, *shards)
+		runValidate(paper, *seed, *shards)
 	case "scaling":
-		runScaling(paper, *seed, memo, *shards)
+		runScaling(paper, *seed, *shards)
 	case "chaos":
 		runChaos(paper, *seed, *shards)
 	case "all":
 		runFig1(paper, *csvDir, *seed)
 		runFig2(paper, *csvDir, *seed)
 		runFig3(paper, *csvDir, *seed)
-		runQ3(paper, *csvDir, *seed, memo)
-		runValidate(paper, *seed, memo, *shards)
-		runScaling(paper, *seed, memo, *shards)
+		runQ3(paper, *csvDir, *seed)
+		runValidate(paper, *seed, *shards)
+		runScaling(paper, *seed, *shards)
 		runChaos(paper, *seed, *shards)
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
@@ -212,9 +207,8 @@ func runFig3(paper bool, csvDir string, seed uint64) {
 	}
 }
 
-func runQ3(paper bool, csvDir string, seed uint64, memo fairnn.MemoOptions) {
+func runQ3(paper bool, csvDir string, seed uint64) {
 	cfg := experiments.DefaultCost()
-	cfg.Memo = memo
 	if !paper {
 		cfg.Queries = 10
 		cfg.RepsPerQuery = 20
@@ -241,9 +235,8 @@ func runQ3(paper bool, csvDir string, seed uint64, memo fairnn.MemoOptions) {
 	}
 }
 
-func runValidate(paper bool, seed uint64, memo fairnn.MemoOptions, shards int) {
+func runValidate(paper bool, seed uint64, shards int) {
 	cfg := experiments.DefaultValidate()
-	cfg.Memo = memo
 	cfg.Shards = shards
 	if !paper {
 		cfg.Users = 400
@@ -261,9 +254,8 @@ func runValidate(paper bool, seed uint64, memo fairnn.MemoOptions, shards int) {
 	}
 }
 
-func runScaling(paper bool, seed uint64, memo fairnn.MemoOptions, shards int) {
+func runScaling(paper bool, seed uint64, shards int) {
 	cfg := experiments.DefaultScaling()
-	cfg.Memo = memo
 	cfg.Shards = shards
 	if !paper {
 		cfg.Ns = []int{500, 1000, 2000}

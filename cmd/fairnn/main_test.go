@@ -4,9 +4,9 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"fairnn"
 	"fairnn/internal/experiments"
 )
 
@@ -49,25 +49,28 @@ func TestShrinkFig1PreservesSetup(t *testing.T) {
 	}
 }
 
-func TestParseMemo(t *testing.T) {
+func TestParseScale(t *testing.T) {
 	for _, tc := range []struct {
-		in   string
-		want fairnn.MemoBackend
+		in        string
+		paper, ok bool
 	}{
-		{"auto", fairnn.MemoAuto},
-		{"", fairnn.MemoAuto},
-		{"dense", fairnn.MemoDense},
-		{"compact", fairnn.MemoCompact},
+		{"small", false, true},
+		{"paper", true, true},
+		{"papr", false, false},
+		{"", false, false},
+		{"Paper", false, false},
+		{"paper ", false, false},
 	} {
-		m, err := parseMemo(tc.in)
-		if err != nil {
-			t.Fatalf("parseMemo(%q): %v", tc.in, err)
+		paper, err := parseScale(tc.in)
+		if (err == nil) != tc.ok {
+			t.Errorf("parseScale(%q) err = %v, want ok = %v", tc.in, err, tc.ok)
+			continue
 		}
-		if m.Backend != tc.want {
-			t.Errorf("parseMemo(%q).Backend = %v, want %v", tc.in, m.Backend, tc.want)
+		if err != nil && !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("parseScale(%q) err = %q, want it to name -scale", tc.in, err)
 		}
-	}
-	if _, err := parseMemo("bogus"); err == nil {
-		t.Error("parseMemo(bogus) accepted")
+		if paper != tc.paper {
+			t.Errorf("parseScale(%q) = %v, want %v", tc.in, paper, tc.paper)
+		}
 	}
 }

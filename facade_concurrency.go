@@ -23,30 +23,66 @@ type QuerySampler[P any] interface {
 	Sample(q P, st *QueryStats) (id int32, ok bool)
 }
 
-// panicSlot collects the first panic recovered from a batch worker, so
-// the fan-out drains (no goroutine leaked mid-batch, no WaitGroup
-// wedged) and the panic resurfaces on the caller's goroutine as a
-// *PanicError with the worker's stack — catchable by an ordinary
-// recover, instead of an unrecoverable crash on a goroutine the caller
-// never sees.
-type panicSlot struct{ p atomic.Pointer[PanicError] }
-
-// capture is the deferred worker-side half: call it directly via defer.
-func (s *panicSlot) capture() {
-	if r := recover(); r != nil {
-		pe, ok := r.(*PanicError)
-		if !ok {
-			pe = core.NewPanicError(r)
+// fanOut calls do(i) for each i in [0, n) on min(workers, n) workers
+// (workers <= 0 means GOMAXPROCS), which draw indices from one atomic
+// counter; one worker runs on the caller's goroutine. Workers stop
+// drawing once ctx is done, once do returns an error or once do panics.
+// fanOut returns after every worker has drained, with the batch's first
+// failure: an error do returned, or the panic recovered into a
+// *PanicError carrying the worker's stack. A panic therefore never
+// escapes a worker goroutine, and the caller decides whether to re-panic
+// it.
+//
+//fairnn:fanout-safe every worker runs work, whose deferred recover turns a panic into the returned *PanicError
+func fanOut(ctx context.Context, n, workers int, do func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var (
+		next  atomic.Int64
+		stop  atomic.Bool
+		once  sync.Once
+		first error
+	)
+	fail := func(err error) {
+		once.Do(func() { first = err })
+		stop.Store(true)
+	}
+	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				pe, ok := r.(*PanicError)
+				if !ok {
+					pe = core.NewPanicError(r)
+				}
+				fail(pe)
+			}
+		}()
+		for !stop.Load() && ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := do(i); err != nil {
+				fail(err)
+				return
+			}
 		}
-		s.p.CompareAndSwap(nil, pe)
 	}
-}
-
-// rethrow is the caller-side half, after the WaitGroup drains.
-func (s *panicSlot) rethrow() {
-	if pe := s.p.Load(); pe != nil {
-		panic(pe)
+	if workers = min(workers, n); workers <= 1 {
+		work()
+		return first
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // BatchResult is the outcome of one query in a batch.
@@ -61,45 +97,19 @@ type BatchResult struct {
 // work out over min(workers, len(queries)) goroutines; workers <= 0 uses
 // GOMAXPROCS. Results are positionally aligned with queries. The sampler's
 // per-query randomness streams keep the outputs independent regardless of
-// how the queries interleave across goroutines.
+// how the queries interleave across goroutines. A panic in Sample stops
+// the batch and, once every worker has drained, is re-panicked on the
+// caller's goroutine as a *PanicError carrying the worker's stack — with
+// any worker count, one included.
 func SampleBatch[P any](s QuerySampler[P], queries []P, workers int) []BatchResult {
 	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
+	if err := fanOut(context.Background(), len(queries), workers, func(i int) error {
+		id, ok := s.Sample(queries[i], nil)
+		out[i] = BatchResult{ID: id, OK: ok}
+		return nil
+	}); err != nil {
+		panic(err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers == 1 {
-		for i, q := range queries {
-			id, ok := s.Sample(q, nil)
-			out[i] = BatchResult{ID: id, OK: ok}
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var ps panicSlot
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer ps.capture()
-			for ps.p.Load() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				id, ok := s.Sample(queries[i], nil)
-				out[i] = BatchResult{ID: id, OK: ok}
-			}
-		}()
-	}
-	wg.Wait()
-	ps.rethrow()
 	return out
 }
 
@@ -115,79 +125,34 @@ type ContextSampler[P any] interface {
 // Results stay positionally aligned with queries; queries that found no
 // near point (ErrNoSample) and queries abandoned to an error report
 // OK=false. The error is ctx.Err() when the batch was cut short by
-// cancellation, or the first foreign error a custom ContextSampler
-// returned (which also aborts the batch) — nil only when every query ran
-// to completion.
+// cancellation, else the first failure that aborted the batch: a foreign
+// error a custom ContextSampler returned, or a *PanicError when a query
+// panicked (no re-panic) — nil only when every query ran to completion.
 func SampleBatchContext[P any](ctx context.Context, s ContextSampler[P], queries []P, workers int) ([]BatchResult, error) {
 	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out, ctx.Err()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var abort atomic.Bool
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		abort.Store(true)
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	err := fanOut(ctx, len(queries), workers, func(i int) error {
+		id, err := s.SampleContext(ctx, queries[i], nil)
+		switch {
+		case err == nil:
+			out[i] = BatchResult{ID: id, OK: true}
+		case errors.Is(err, ErrNoSample), ctx.Err() != nil:
+			// Leave the zero BatchResult: the query ran and found
+			// nothing, or the batch context is done and ctx.Err()
+			// reports it.
+		default:
+			// A custom ContextSampler failed for its own reason —
+			// including a context error of its own (e.g. a per-query
+			// timeout) while the batch context is still live: abort the
+			// batch and surface the error instead of returning a
+			// silently incomplete result set.
+			return err
 		}
-		mu.Unlock()
+		return nil
+	})
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return out, ctxErr
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A worker panic (poisoned query point, custom sampler bug)
-			// aborts the batch and surfaces as the batch error — the
-			// context variant has an error channel, so no re-panic.
-			defer func() {
-				if r := recover(); r != nil {
-					pe, ok := r.(*PanicError)
-					if !ok {
-						pe = core.NewPanicError(r)
-					}
-					fail(pe)
-				}
-			}()
-			for ctx.Err() == nil && !abort.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				id, err := s.SampleContext(ctx, queries[i], nil)
-				switch {
-				case err == nil:
-					out[i] = BatchResult{ID: id, OK: true}
-				case errors.Is(err, ErrNoSample):
-					// Leave the zero BatchResult: ran, found nothing.
-				case ctx.Err() != nil:
-					return // the batch context is done; ctx.Err() reports it
-				default:
-					// A custom ContextSampler failed for its own reason —
-					// including a context error of its own (e.g. a per-query
-					// timeout) while the batch context is still live: abort
-					// the batch and surface the error instead of returning a
-					// silently incomplete result set.
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	return out, firstErr
+	return out, err
 }
 
 // KSampler is the k-sample query interface (with- or without-replacement
@@ -199,7 +164,7 @@ type KSampler[P any] interface {
 // SampleKBatch draws k samples per query against one shared sampler,
 // fanned out like SampleBatch. Result i holds the samples for queries[i].
 func SampleKBatch[P any](s KSampler[P], queries []P, k, workers int) [][]int32 {
-	out, _ := sampleKBatch(context.Background(), s, queries, k, workers)
+	out, _ := SampleKBatchContext(context.Background(), s, queries, k, workers)
 	return out
 }
 
@@ -209,38 +174,12 @@ func SampleKBatch[P any](s KSampler[P], queries []P, k, workers int) [][]int32 {
 // cancellation needs SampleContext/Samples). Result slots for abandoned
 // queries stay nil; the error is ctx.Err() when the batch was cut short.
 func SampleKBatchContext[P any](ctx context.Context, s KSampler[P], queries []P, k, workers int) ([][]int32, error) {
-	return sampleKBatch(ctx, s, queries, k, workers)
-}
-
-func sampleKBatch[P any](ctx context.Context, s KSampler[P], queries []P, k, workers int) ([][]int32, error) {
 	out := make([][]int32, len(queries))
-	if len(queries) == 0 {
-		return out, ctx.Err()
+	if err := fanOut(ctx, len(queries), workers, func(i int) error {
+		out[i] = s.SampleK(queries[i], k, nil)
+		return nil
+	}); err != nil {
+		panic(err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var ps panicSlot
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer ps.capture()
-			for ctx.Err() == nil && ps.p.Load() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				out[i] = s.SampleK(queries[i], k, nil)
-			}
-		}()
-	}
-	wg.Wait()
-	ps.rethrow()
 	return out, ctx.Err()
 }

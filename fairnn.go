@@ -161,10 +161,11 @@
 // Worker panics are contained everywhere the library fans out: parallel
 // shard builds surface a typed *BuildError naming the shard and point
 // (wrapping a *PanicError with the worker's stack) instead of crashing
-// the process; SampleBatch re-panics a worker panic on the caller's
-// goroutine as a catchable *PanicError after draining the batch; the
-// context batch variants return it as the batch error; and a panic
-// inside a resilient per-shard call is just another failed attempt.
+// the process; SampleBatch, SampleKBatch and SampleKBatchContext
+// re-panic a worker panic on the caller's goroutine as a catchable
+// *PanicError after draining the batch; SampleBatchContext returns it as
+// the batch error; and a panic inside a resilient per-shard call is just
+// another failed attempt.
 //
 // WithFaultInjection(inj) interposes a deterministic fault harness
 // (tests only) on every backend call of a sharded sampler: a
@@ -287,25 +288,19 @@
 //
 // # Memory budget
 //
-// Pooled per-query scratch is bounded. The memo tables backing the
-// rejection-loop caches come in two interchangeable flavors, selected by
-// the WithMemo option's MemoOptions: below MemoOptions.DenseThreshold
-// indexed points (default 2²⁰) each pooled querier carries dense
-// epoch-stamped arrays — the fastest lookups, at 8–16 bytes per indexed
-// point — and above it a compact open-addressing table sized to the
-// query's live candidate set, which is o(n) by construction. Operators can force either backend via
-// MemoOptions.Backend (MemoDense / MemoCompact). Independently, each
-// index retains at most MemoOptions.MaxRetainedQueriers queriers across
-// checkouts and frees scratch past MemoOptions.ScratchBudget bytes on
-// release, so a one-time burst of G concurrent queries no longer pins
-// O(G·n) memory for the process lifetime. (When the resolved backend is
-// dense, the effective budget is raised to cover the dense arrays —
-// freeing them every release would turn pooling into a per-query O(n)
-// allocation; pick MemoCompact to bound scratch below that.) The backend choice affects
-// only cost, never any sampler's output distribution;
-// QueryStats.MemoProbes and ScoreCacheHits make the memo behavior
-// observable per query, and each structure's RetainedScratchBytes
-// reports what its pool currently pins.
+// Pooled per-query scratch is bounded. Each pooled querier carries one
+// memo table: an epoch-stamped open-addressing hash table sized to the
+// query's live candidate set — 8 bytes per slot for the Section 4
+// near-cache, 16 for the Section 5 similarity memo — which is o(n) by
+// construction and allocated on first use. The WithMemo option's
+// MemoOptions bound the rest: each index retains at most
+// MemoOptions.MaxRetainedQueriers queriers across checkouts and frees
+// scratch past MemoOptions.ScratchBudget bytes on release, so a one-time
+// burst of G concurrent queries does not pin O(G·n) memory for the
+// process lifetime. The memo affects only cost, never any sampler's
+// output distribution; QueryStats.MemoProbes and ScoreCacheHits make its
+// behavior observable per query, and each structure's
+// RetainedScratchBytes reports what its pool currently pins.
 //
 // # Performance
 //
@@ -432,23 +427,10 @@ type IndependentOptions = core.IndependentOptions
 type VecOptions = core.FilterIndependentOptions
 
 // MemoOptions is the per-query memory discipline shared by all samplers:
-// the dense→compact memo threshold, the querier-pool retention cap, and
-// the per-querier scratch budget (see the package's "Memory budget"
-// section). The zero value keeps the dense fast path at small n and
-// bounds pooled memory at large n.
+// the querier-pool retention cap and the per-querier scratch budget (see
+// the package's "Memory budget" section). The zero value retains
+// max(4, 2·GOMAXPROCS) queriers of at most 32 MiB of scratch each.
 type MemoOptions = core.MemoOptions
-
-// MemoBackend selects the per-query memo implementation.
-type MemoBackend = core.MemoBackend
-
-// Memo backend choices: MemoAuto picks dense below
-// MemoOptions.DenseThreshold points and compact above it; MemoDense and
-// MemoCompact force one side.
-const (
-	MemoAuto    = core.MemoAuto
-	MemoDense   = core.MemoDense
-	MemoCompact = core.MemoCompact
-)
 
 // Jaccard returns the Jaccard similarity of two sets.
 func Jaccard(a, b Set) float64 { return set.Jaccard(a, b) }

@@ -289,7 +289,7 @@ func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
 
 // IsInterfaceMethod reports whether the call is a dynamic dispatch
 // through an interface method — a target the analyzers cannot chase
-// statically (the memoTable backends, for one).
+// statically (the shard Backend stack, for one).
 func (p *Pass) IsInterfaceMethod(call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

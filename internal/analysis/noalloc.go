@@ -33,7 +33,7 @@ import (
 // allocation in a hot function is visibly justified.
 //
 // Known holes, by design: dynamic calls (interface methods such as the
-// memoTable backends, and func-valued fields such as nearFn/batchScore)
+// shard Backend stack, and func-valued fields such as nearFn/batchScore)
 // are not chased, and FuncLit bodies are not descended into once the
 // literal itself is reported. The runtime zero-alloc oracles remain the
 // ground truth; this analyzer makes the common regressions impossible to
@@ -264,7 +264,7 @@ func (p *Pass) checkNoAllocCall(fd *ast.FuncDecl, call *ast.CallExpr, stack []as
 		return
 	}
 	if p.IsInterfaceMethod(call) {
-		// memoTable-style dynamic dispatch — not chased.
+		// Interface dispatch — not chased.
 		p.checkBoxing(fd, call, stack)
 		return
 	}

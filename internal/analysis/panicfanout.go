@@ -13,7 +13,7 @@ import (
 //
 //   - a deferred recover in the goroutine body — either a deferred
 //     closure that calls recover(), or a deferred call to a capture
-//     helper whose body recovers (panicSlot.capture, buildErrSlot.capture);
+//     helper whose body recovers (buildErrSlot.capture);
 //   - routing through a //fairnn:fanout-safe launcher (parallelRange,
 //     safeCall): the goroutine body's work happens inside a function
 //     that installs the recover on the callee's side;

@@ -48,9 +48,8 @@ type rankedBase[P any] struct {
 	// r2 is radius² — the threshold batchScore results are compared to;
 	// bit-identical to the squared comparison inside nearFn.
 	r2 float64
-	// memo is the resolved memory discipline: which near-cache backend
-	// queriers carry (dense below the threshold, compact above) and how
-	// much scratch the pool may retain across checkouts.
+	// memo is the resolved memory discipline: how many queriers the pool
+	// retains and how much scratch each may keep across checkouts.
 	memo MemoOptions
 
 	qseed uint64
@@ -66,17 +65,14 @@ type rankedBase[P any] struct {
 //
 // Two memo structures make the Section 4 rejection loop cheap to repeat:
 //
-//   - near-cache: a pluggable memoTable of tri-state verdicts
-//     (unknown / near / far). Its epoch is bumped once per checkout (one
-//     logical Sample or SampleK), so entries from earlier queries read as
-//     "unknown" without any clearing. Each distinct candidate is
-//     therefore distance-scored at most once per Sample and at most once
-//     across an entire SampleK, and stale entries can never leak into the
-//     current query. The backend is chosen per structure by MemoOptions:
-//     an epoch-stamped dense array (8 B/indexed point, O(1) unhashed
-//     lookups, allocated lazily on first use) below the point-count
-//     threshold, or a compact open-addressing stamped table sized to the
-//     query's live candidate count — o(n) by construction — above it.
+//   - near-cache: a compactMemo of tri-state verdicts (unknown / near /
+//     far). Its epoch is bumped once per checkout (one logical Sample or
+//     SampleK), so entries from earlier queries read as "unknown" without
+//     any clearing. Each distinct candidate is therefore distance-scored
+//     at most once per Sample and at most once across an entire SampleK,
+//     and stale entries can never leak into the current query. The table
+//     is sized to the query's live candidate count — o(n) by
+//     construction — and allocated lazily on first use.
 //   - merged cursor: mergedIDs/mergedRanks hold the deduplicated k-way
 //     merge of all L resolved buckets, in ascending rank order. It is
 //     materialized lazily — only once the rejection loop's cumulative
@@ -96,8 +92,8 @@ type querier struct {
 	skBuf []uint64
 	rng   rng.Source
 
-	// near-cache backend (see memo.go).
-	near memoTable
+	// near-cache (see memo.go), in bit mode: 1 = near, 0 = far.
+	near compactMemo
 
 	// batched-scoring scratch (keepNear): memo-miss ids pending a score,
 	// per-candidate verdicts, and the kernel output block. All recycled
@@ -167,7 +163,7 @@ func newRankedBase[P any](space Space[P], family lsh.Family[P], params lsh.Param
 		radius: radius,
 		params: params,
 		nearFn: space.Nearness(radius),
-		memo:   memo.withDefaults().withDenseFloor(len(points), 8*len(points)),
+		memo:   memo.withDefaults(),
 	}
 	// Resolve the batched scoring seam only when it is guaranteed to agree
 	// bit-for-bit with nearFn: a Distance space whose nearFn is the
@@ -352,7 +348,6 @@ func (b *rankedBase[P]) getQuerier() *querier {
 			keys2:   make([]uint64, b.params.L),
 			buckets: make([]*rank.Bucket, b.params.L),
 			cand:    make([]int32, 0, 64),
-			near:    newMemoTable(b.memo, len(b.points), false),
 		}
 	}
 	qr.near.reset()
@@ -382,11 +377,6 @@ func (b *rankedBase[P]) RetainedScratchBytes() int {
 
 // RetainedQueriers reports how many queriers the pool currently holds.
 func (b *rankedBase[P]) RetainedQueriers() int { return b.pool.Retained() }
-
-// MemoBackendInUse reports the resolved near-cache backend.
-func (b *rankedBase[P]) MemoBackendInUse() MemoBackend {
-	return b.memo.resolveBackend(len(b.points))
-}
 
 // resolve hashes q once — one single-pass signature reduced to L bucket
 // keys — and fills qr.keys and qr.buckets, charging one bucket lookup per
@@ -460,28 +450,11 @@ func (b *rankedBase[P]) near(q P, id int32, st *QueryStats) bool {
 // table: each distinct id is scored at most once per epoch (one logical
 // query); repeat lookups are answered from the cache and charged to
 // st.ScoreCacheHits. Distances are deterministic, so memoization cannot
-// change any query's output distribution — only its cost. The dense
-// backend is special-cased so its hot path stays the PR 2 single array
-// load; other backends (the compact table) go through the memoTable
-// interface and charge st.MemoProbes.
+// change any query's output distribution — only its cost. Every lookup
+// is charged to st.MemoProbes.
+//
+//fairnn:noalloc
 func (b *rankedBase[P]) nearCached(q P, qr *querier, id int32, st *QueryStats) bool {
-	if d, ok := qr.near.(*denseBitMemo); ok {
-		w := d.words
-		if w == nil {
-			w = d.ensure()
-		}
-		if s := w[id]; s>>1 == d.epoch {
-			st.cacheHit()
-			return s&1 == 1
-		}
-		isNear := b.near(q, id, st)
-		s := d.epoch << 1
-		if isNear {
-			s |= 1
-		}
-		w[id] = s
-		return isNear
-	}
 	st.memoProbe()
 	if v, ok := qr.near.get(id); ok {
 		st.cacheHit()
@@ -531,30 +504,14 @@ func (b *rankedBase[P]) keepNear(q P, qr *querier, ids []int32, st *QueryStats) 
 	}
 	verd := qr.verd[:len(ids)]
 	pend := qr.pend[:0]
-	d, dense := qr.near.(*denseBitMemo)
-	if dense {
-		// Same special case as nearCached: one array load per probe, no
-		// interface calls, no MemoProbes charged.
-		w := d.ensure()
-		for i, id := range ids {
-			if s := w[id]; s>>1 == d.epoch {
-				st.cacheHit()
-				verd[i] = uint8(s & 1)
-			} else {
-				verd[i] = verdPending
-				pend = append(pend, id)
-			}
-		}
-	} else {
-		for i, id := range ids {
-			st.memoProbe()
-			if v, ok := qr.near.get(id); ok {
-				st.cacheHit()
-				verd[i] = uint8(v)
-			} else {
-				verd[i] = verdPending
-				pend = append(pend, id)
-			}
+	for i, id := range ids {
+		st.memoProbe()
+		if v, ok := qr.near.get(id); ok {
+			st.cacheHit()
+			verd[i] = uint8(v)
+		} else {
+			verd[i] = verdPending
+			pend = append(pend, id)
 		}
 	}
 	if len(pend) > 0 {
@@ -568,33 +525,17 @@ func (b *rankedBase[P]) keepNear(q P, qr *querier, ids []int32, st *QueryStats) 
 			st.BatchScored += len(pend)
 		}
 		j := 0
-		if dense {
-			w := d.words
-			for i := range verd {
-				if verd[i] != verdPending {
-					continue
-				}
-				var v uint8
-				if out[j] <= b.r2 {
-					v = 1
-				}
-				verd[i] = v
-				w[pend[j]] = d.epoch<<1 | uint64(v)
-				j++
+		for i := range verd {
+			if verd[i] != verdPending {
+				continue
 			}
-		} else {
-			for i := range verd {
-				if verd[i] != verdPending {
-					continue
-				}
-				var v uint64
-				if out[j] <= b.r2 {
-					v = 1
-				}
-				verd[i] = uint8(v)
-				qr.near.put(pend[j], v)
-				j++
+			var v uint64
+			if out[j] <= b.r2 {
+				v = 1
 			}
+			verd[i] = uint8(v)
+			qr.near.put(pend[j], v)
+			j++
 		}
 	}
 	qr.pend = pend

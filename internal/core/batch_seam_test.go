@@ -33,103 +33,132 @@ func euclideanBall(t *testing.T, seed uint64) ([]vector.Vec, vector.Vec, float64
 // optionally with the batch seam stripped (ScoreSqBatch = nil), so the
 // batched and per-candidate scoring paths can be compared on otherwise
 // identical structures.
-func newEuclideanIndependent(t *testing.T, batch bool, backend MemoBackend, seed uint64) (*Independent[vector.Vec], vector.Vec) {
+func newEuclideanIndependent(t *testing.T, batch bool, seed uint64) (*Independent[vector.Vec], vector.Vec) {
 	t.Helper()
 	pts, q, radius := euclideanBall(t, 307)
 	space := Euclidean()
 	if !batch {
 		space.ScoreSqBatch = nil
 	}
-	opts := IndependentOptions{Memo: MemoOptions{Backend: backend}}
-	d, err := NewIndependent[vector.Vec](space, lsh.Euclidean{Dim: len(q), W: 2 * radius}, lsh.Params{K: 2, L: 12}, pts, radius, opts, seed)
+	d, err := NewIndependent[vector.Vec](space, lsh.Euclidean{Dim: len(q), W: 2 * radius}, lsh.Params{K: 2, L: 12}, pts, radius, IndependentOptions{}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d, q
 }
 
-// TestBatchSeamIdenticalStreams pins the seam's core invariant on both
-// memo backends: stripping ScoreSqBatch (forcing per-candidate
-// nearCached) changes neither any sample nor any counter.
+// TestBatchSeamIdenticalStreams pins the seam's core invariant over the
+// compact memo: stripping ScoreSqBatch (forcing per-candidate nearCached)
+// changes neither any sample nor any counter.
 func TestBatchSeamIdenticalStreams(t *testing.T) {
-	for _, backend := range []MemoBackend{MemoDense, MemoCompact} {
-		t.Run(backendName(backend), func(t *testing.T) {
-			batched, q := newEuclideanIndependent(t, true, backend, 311)
-			plain, _ := newEuclideanIndependent(t, false, backend, 311)
-			sawBatch := false
-			for i := 0; i < 150; i++ {
-				var bst, pst QueryStats
-				gotID, gotOK := batched.Sample(q, &bst)
-				wantID, wantOK := plain.Sample(q, &pst)
-				if gotID != wantID || gotOK != wantOK {
-					t.Fatalf("Sample #%d: batched (%d, %v), plain (%d, %v)", i, gotID, gotOK, wantID, wantOK)
-				}
-				if bst.ScoreEvals != pst.ScoreEvals || bst.ScoreCacheHits != pst.ScoreCacheHits ||
-					bst.PointsInspected != pst.PointsInspected || bst.MemoProbes != pst.MemoProbes {
-					t.Fatalf("Sample #%d counters diverged: batched %+v, plain %+v", i, bst, pst)
-				}
-				if pst.BatchScored != 0 {
-					t.Fatalf("plain path reported BatchScored = %d", pst.BatchScored)
-				}
-				if bst.BatchScored > bst.ScoreEvals {
-					t.Fatalf("BatchScored %d exceeds ScoreEvals %d", bst.BatchScored, bst.ScoreEvals)
-				}
-				sawBatch = sawBatch || bst.BatchScored > 0
+	t.Run("compact", func(t *testing.T) {
+		batched, q := newEuclideanIndependent(t, true, 311)
+		plain, _ := newEuclideanIndependent(t, false, 311)
+		sawBatch := false
+		for i := 0; i < 150; i++ {
+			var bst, pst QueryStats
+			gotID, gotOK := batched.Sample(q, &bst)
+			wantID, wantOK := plain.Sample(q, &pst)
+			if gotID != wantID || gotOK != wantOK {
+				t.Fatalf("Sample #%d: batched (%d, %v), plain (%d, %v)", i, gotID, gotOK, wantID, wantOK)
 			}
-			for i := 0; i < 25; i++ {
-				var bst QueryStats
-				got := batched.SampleK(q, 20, &bst)
-				want := plain.SampleK(q, 20, nil)
-				if !slices.Equal(got, want) {
-					t.Fatalf("SampleK #%d: batched %v, plain %v", i, got, want)
-				}
-				sawBatch = sawBatch || bst.BatchScored > 0
+			if bst.ScoreEvals != pst.ScoreEvals || bst.ScoreCacheHits != pst.ScoreCacheHits ||
+				bst.PointsInspected != pst.PointsInspected || bst.MemoProbes != pst.MemoProbes {
+				t.Fatalf("Sample #%d counters diverged: batched %+v, plain %+v", i, bst, pst)
 			}
-			if !sawBatch {
-				t.Error("batched structure never exercised the batch path (BatchScored stayed 0)")
+			if pst.BatchScored != 0 {
+				t.Fatalf("plain path reported BatchScored = %d", pst.BatchScored)
 			}
-		})
-	}
+			if bst.BatchScored > bst.ScoreEvals {
+				t.Fatalf("BatchScored %d exceeds ScoreEvals %d", bst.BatchScored, bst.ScoreEvals)
+			}
+			sawBatch = sawBatch || bst.BatchScored > 0
+		}
+		for i := 0; i < 25; i++ {
+			var bst QueryStats
+			got := batched.SampleK(q, 20, &bst)
+			want := plain.SampleK(q, 20, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("SampleK #%d: batched %v, plain %v", i, got, want)
+			}
+			sawBatch = sawBatch || bst.BatchScored > 0
+		}
+		if !sawBatch {
+			t.Error("batched structure never exercised the batch path (BatchScored stayed 0)")
+		}
+	})
 }
 
-// TestKeepNearMatchesNearCached is the direct parity test of the
-// two-pass block filter against the per-candidate memoized path: same
-// verdicts, same counters, same memo contents afterwards — on both memo
-// backends, for block sizes on either side of batchMinCandidates.
+// TestKeepNearMatchesNearCached checks both memoized Section 4 filters
+// against the predicate they cache: keepNear (the two-pass block filter)
+// and per-candidate nearCached must each keep exactly the ids that nearFn,
+// called directly with no memo, accepts, with identical counters, for
+// block sizes on either side of batchMinCandidates. Each block runs four
+// passes: a fresh epoch, a repeat answered from the memo, a new epoch
+// (the next getQuerier) under a different query, where any verdict left
+// over from the first epoch would be wrong, and a pass after trim(0) has
+// freed the table.
 func TestKeepNearMatchesNearCached(t *testing.T) {
-	for _, backend := range []MemoBackend{MemoDense, MemoCompact} {
-		t.Run(backendName(backend), func(t *testing.T) {
-			a, q := newEuclideanIndependent(t, true, backend, 313)
-			b, _ := newEuclideanIndependent(t, true, backend, 313)
-			for _, block := range []int{1, batchMinCandidates - 1, batchMinCandidates, 64, 400} {
-				qa, qb := a.base.getQuerier(), b.base.getQuerier()
-				var sta, stb QueryStats
-				ids := make([]int32, 0, block)
-				for id := 0; id < block && id < a.N(); id++ {
-					ids = append(ids, int32(id))
-				}
-				// Repeat the block so the second pass hits the memo.
-				for pass := 0; pass < 2; pass++ {
-					got := a.base.keepNear(q, qa, slices.Clone(ids), &sta)
-					want := qb.cand[:0]
-					for _, id := range ids {
-						if b.base.nearCached(q, qb, id, &stb) {
-							want = append(want, id)
-						}
-					}
-					qb.cand = want[:0]
-					if !slices.Equal(got, want) {
-						t.Fatalf("block %d pass %d: keepNear %v, nearCached %v", block, pass, got, want)
-					}
-					if sta.ScoreEvals != stb.ScoreEvals || sta.ScoreCacheHits != stb.ScoreCacheHits || sta.MemoProbes != stb.MemoProbes {
-						t.Fatalf("block %d pass %d counters diverged: keepNear %+v, nearCached %+v", block, pass, sta, stb)
-					}
-				}
-				a.base.putQuerier(qa)
-				b.base.putQuerier(qb)
+	t.Run("compact", func(t *testing.T) {
+		a, q := newEuclideanIndependent(t, true, 313)
+		b, _ := newEuclideanIndependent(t, true, 313)
+		q2 := a.Point(int32(a.N() - 1))
+		for _, block := range []int{1, batchMinCandidates - 1, batchMinCandidates, 64, 400} {
+			ids := make([]int32, 0, block)
+			for id := 0; id < block && id < a.N(); id++ {
+				ids = append(ids, int32(id))
 			}
-		})
-	}
+			qa, qb := a.base.getQuerier(), b.base.getQuerier()
+			var sta, stb QueryStats
+			// pass filters ids for q both ways and checks them against
+			// nearFn; fresh passes must miss the memo on every id.
+			pass := func(name string, q vector.Vec, fresh bool) {
+				t.Helper()
+				var direct []int32
+				for _, id := range ids {
+					if a.base.nearFn(q, a.Point(id)) {
+						direct = append(direct, id)
+					}
+				}
+				hits := sta.ScoreCacheHits
+				got := a.base.keepNear(q, qa, slices.Clone(ids), &sta)
+				var per []int32
+				for _, id := range ids {
+					if b.base.nearCached(q, qb, id, &stb) {
+						per = append(per, id)
+					}
+				}
+				if !slices.Equal(got, direct) {
+					t.Fatalf("block %d %s: keepNear %v, nearFn %v", block, name, got, direct)
+				}
+				if !slices.Equal(per, direct) {
+					t.Fatalf("block %d %s: nearCached %v, nearFn %v", block, name, per, direct)
+				}
+				if sta.ScoreEvals != stb.ScoreEvals || sta.ScoreCacheHits != stb.ScoreCacheHits || sta.MemoProbes != stb.MemoProbes {
+					t.Fatalf("block %d %s counters diverged: keepNear %+v, nearCached %+v", block, name, sta, stb)
+				}
+				if fresh && sta.ScoreCacheHits != hits {
+					t.Fatalf("block %d %s: %d memo hits, want 0", block, name, sta.ScoreCacheHits-hits)
+				}
+			}
+			pass("first", q, true)
+			pass("repeat", q, false)
+			a.base.putQuerier(qa)
+			b.base.putQuerier(qb)
+			if qa, qb = a.base.getQuerier(), b.base.getQuerier(); qa.near.retainedBytes() == 0 {
+				t.Fatalf("block %d: the pool handed back a querier without its memo", block)
+			}
+			pass("new epoch", q2, true)
+			qa.trim(0)
+			qb.trim(0)
+			if qa.near.retainedBytes() != 0 {
+				t.Fatalf("block %d: trim(0) kept a %d B memo", block, qa.near.retainedBytes())
+			}
+			pass("after trim", q2, true)
+			a.base.putQuerier(qa)
+			b.base.putQuerier(qb)
+		}
+	})
 }
 
 // TestAccelVsPortableStreams compares whole sample streams across kernel
@@ -147,11 +176,11 @@ func TestAccelVsPortableStreams(t *testing.T) {
 
 	const draws = 400
 	vector.SetAccelerated(false)
-	portable, q := newEuclideanIndependent(t, true, MemoDense, 317)
+	portable, q := newEuclideanIndependent(t, true, 317)
 	portableStream := portable.SampleK(q, draws, nil)
 
 	vector.SetAccelerated(true)
-	accel, _ := newEuclideanIndependent(t, true, MemoDense, 317)
+	accel, _ := newEuclideanIndependent(t, true, 317)
 	accelStream := accel.SampleK(q, draws, nil)
 
 	if slices.Equal(portableStream, accelStream) {

@@ -244,10 +244,10 @@ func TestFilterSimMemoSharedAcrossDraws(t *testing.T) {
 // calls cycling over a dozen queries, one SampleK(50), QueryNN and
 // RecalledBall — and returns an FNV-64a hash of every returned id and of
 // the summed QueryStats counters.
-func filterStreamDigest(t *testing.T, memo MemoOptions) string {
+func filterStreamDigest(t *testing.T) string {
 	t.Helper()
 	w := plantedWorkload(t, 600, 24, 60, 0.8, 0.5, 307)
-	fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, FilterIndependentOptions{Memo: memo}, 311)
+	fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, FilterIndependentOptions{}, 311)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,20 +297,12 @@ func filterStreamDigest(t *testing.T, memo MemoOptions) string {
 }
 
 // TestFilterStreamDigestPinned pins the Section 5 sampler's same-seed
-// output and work counters under both memo backends. A change to bucket
-// enumeration, plan order, the rejection loop or the counters' charging
-// shows up here; a deliberate stream change must re-pin these values
-// behind the chi-squared tests above.
+// output and work counters. A change to bucket enumeration, plan order,
+// the rejection loop or the counters' charging shows up here; a
+// deliberate stream change must re-pin this value behind the chi-squared
+// tests above.
 func TestFilterStreamDigestPinned(t *testing.T) {
-	for _, c := range []struct {
-		memo MemoOptions
-		want string
-	}{
-		{MemoOptions{Backend: MemoDense}, "cedb5900cf89d59c"},
-		{MemoOptions{Backend: MemoCompact}, "6a4f655a426baca4"},
-	} {
-		if got := filterStreamDigest(t, c.memo); got != c.want {
-			t.Errorf("%s memo: stream digest %s, want %s", backendName(c.memo.Backend), got, c.want)
-		}
+	if got, want := filterStreamDigest(t), "6a4f655a426baca4"; got != want {
+		t.Errorf("stream digest %s, want %s", got, want)
 	}
 }

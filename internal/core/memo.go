@@ -5,69 +5,34 @@ import (
 	"sync"
 )
 
-// This file is the pluggable per-query memo subsystem introduced by PR 3.
+// This file is the per-query memo and the bounded querier pool.
 //
-// PR 2 made the rejection loops cheap by memoizing deterministic distance
-// verdicts per query, but sized every memo table n: 8 B/point for the
-// near-cache and 16 B/point for the Section 5 similarity memo, checked out
-// of an unbounded pool. A burst of G concurrent queries therefore pinned
-// G·24·n bytes of scratch for the process lifetime — tens of GB at
-// n = 10⁷. Two fixes compose here:
+// The Section 4 and Section 5 rejection loops memoize each query's
+// deterministic distance verdicts, so a candidate is scored at most once
+// per logical query however many rounds revisit it. Memoization caches
+// deterministic verdicts only, so it changes cost but never any sampler's
+// output distribution (Theorem 2 needs fresh randomness per sample, not
+// fresh distance evaluations). Two structures keep the scratch behind it
+// bounded:
 //
-//   - memoTable: a small backend interface (get/put/reset) with two
-//     implementations. The dense backends keep PR 2's epoch-stamped O(n)
-//     arrays — O(1) lookups, no hashing, no clearing — and stay the
-//     default below MemoOptions.DenseThreshold points. Above it, the
-//     compact backend stores the memo in an open-addressing stamped hash
-//     table sized to the query's *live* candidate count: a query touches
-//     at most O(L·bucket) distinct candidates, so compact scratch is o(n)
-//     by construction, at the price of one multiplicative hash per lookup.
-//     Memoization only caches deterministic verdicts, so the backend
-//     choice can change cost but never any sampler's output distribution
-//     (Theorem 2 needs fresh randomness per sample, not fresh distance
-//     evaluations).
-//   - BoundedPool: a capped free list replacing the unbounded sync.Pool.
-//     Get beyond the retained set allocates as before, but Put drops
-//     queriers past MaxRetainedQueriers and frees oversized scratch past
-//     ScratchBudget, so a one-time concurrency burst no longer pins
-//     O(burst·n) memory.
-
-// MemoBackend selects the per-query memo implementation.
-type MemoBackend int
-
-const (
-	// MemoAuto picks MemoDense below MemoOptions.DenseThreshold indexed
-	// points and MemoCompact above it.
-	MemoAuto MemoBackend = iota
-	// MemoDense forces the epoch-stamped O(n) arrays: fastest lookups,
-	// 8–16 B/point of scratch per pooled querier.
-	MemoDense
-	// MemoCompact forces the open-addressing stamped hash table: o(n)
-	// scratch per querier, one multiplicative hash per lookup.
-	MemoCompact
-)
-
-// DefaultDenseThreshold is the point count at which MemoAuto switches from
-// the dense arrays to the compact table: up to 2²⁰ points the dense
-// near-cache costs ≤ 8 MiB per pooled querier, which the retained-querier
-// cap keeps bounded; beyond it the compact table wins on footprint.
-const DefaultDenseThreshold = 1 << 20
+//   - compactMemo: an open-addressing stamped hash table sized to the
+//     query's *live* candidate count. A query touches at most
+//     O(L·bucket) distinct candidates, so the table is o(n) by
+//     construction, at the price of one multiplicative hash per lookup.
+//   - BoundedPool: a capped querier free list. Get beyond the retained
+//     set allocates, but Put drops queriers past MaxRetainedQueriers and
+//     frees scratch past ScratchBudget, so a one-time concurrency burst
+//     cannot pin O(burst·n) memory.
 
 // DefaultScratchBudget caps the scratch a pooled querier may retain
-// (32 MiB — above the largest dense memo the default threshold allows, so
-// the budget only trims pathological compact growth and candidate
-// buffers).
+// (32 MiB — far above a typical query's memo table and candidate
+// buffers, so the budget only trims pathological growth).
 const DefaultScratchBudget = 32 << 20
 
 // MemoOptions is the memory-discipline knob shared by all pooled query
-// paths (Sections 3, 4 and 5). The zero value selects the PR 2 behavior
-// below DenseThreshold and the bounded compact behavior above it.
+// paths (Sections 3, 4 and 5). The zero value retains max(4,
+// 2·GOMAXPROCS) queriers of at most DefaultScratchBudget bytes each.
 type MemoOptions struct {
-	// Backend picks the memo implementation (default MemoAuto).
-	Backend MemoBackend
-	// DenseThreshold is the indexed-point count above which MemoAuto uses
-	// the compact backend. 0 means DefaultDenseThreshold.
-	DenseThreshold int
 	// MaxRetainedQueriers caps how many per-query scratch structs one
 	// index keeps pooled across checkouts; excess queriers from a
 	// concurrency burst are garbage-collected instead of pinned. 0 means
@@ -76,24 +41,8 @@ type MemoOptions struct {
 	// ScratchBudget is the byte budget one pooled querier may retain
 	// (summed across its memo table and candidate buffers); oversized
 	// scratch is freed on Put. 0 means DefaultScratchBudget. Negative
-	// means unlimited. When the resolved backend is dense, the effective
-	// budget is raised to cover the dense arrays — retaining them is the
-	// point of the dense backend, and freeing them on every Put would
-	// silently replace pooling with a per-query O(n) allocation. Choose
-	// MemoCompact to enforce budgets below the dense-array size.
+	// means unlimited.
 	ScratchBudget int
-}
-
-// withDenseFloor raises the scratch budget to cover a dense memo of
-// denseBytes (plus headroom for candidate buffers) when the resolved
-// backend for n points is dense; see the ScratchBudget doc.
-func (o MemoOptions) withDenseFloor(n, denseBytes int) MemoOptions {
-	if o.resolveBackend(n) == MemoDense {
-		if min := denseBytes + (1 << 20); o.ScratchBudget < min {
-			o.ScratchBudget = min
-		}
-	}
-	return o
 }
 
 // Resolved returns o with zero fields resolved to their documented
@@ -105,9 +54,6 @@ func (o MemoOptions) Resolved() MemoOptions { return o.withDefaults() }
 
 // withDefaults resolves zero fields to their documented defaults.
 func (o MemoOptions) withDefaults() MemoOptions {
-	if o.DenseThreshold <= 0 {
-		o.DenseThreshold = DefaultDenseThreshold
-	}
 	if o.MaxRetainedQueriers == 0 {
 		o.MaxRetainedQueriers = 2 * runtime.GOMAXPROCS(0)
 		if o.MaxRetainedQueriers < 4 {
@@ -125,138 +71,8 @@ func (o MemoOptions) withDefaults() MemoOptions {
 	return o
 }
 
-// resolveBackend maps MemoAuto to a concrete backend for n indexed points.
-func (o MemoOptions) resolveBackend(n int) MemoBackend {
-	if o.Backend == MemoAuto {
-		if n <= o.DenseThreshold {
-			return MemoDense
-		}
-		return MemoCompact
-	}
-	return o.Backend
-}
-
-// memoTable is the pluggable per-query memo backend: a stamped id → word
-// store whose entries live exactly one epoch (one logical query — a
-// Sample, or all k loops of one SampleK). Callers encode their verdict in
-// the word: the near-cache stores 0/1, the similarity memo stores
-// math.Float64bits. reset starts a new epoch in O(1) — previous entries
-// become invisible without clearing.
-type memoTable interface {
-	get(id int32) (val uint64, ok bool)
-	put(id int32, val uint64)
-	reset()
-	// retainedBytes reports the backing-array footprint (for the pool's
-	// scratch budget and the footprint gauge).
-	retainedBytes() int
-	// shrink frees backing storage when retainedBytes exceeds maxBytes;
-	// the table stays usable and reallocates lazily.
-	shrink(maxBytes int)
-}
-
-// newMemoTable builds the backend selected by opts for n points. wordVals
-// distinguishes the two value layouts: false packs the verdict bit into
-// the stamp word (8 B/point dense, 8 B/slot compact — the near-cache),
-// true keeps a separate value array (16 B/point dense, 16 B/slot compact
-// — the similarity memo).
-func newMemoTable(opts MemoOptions, n int, wordVals bool) memoTable {
-	if opts.resolveBackend(n) == MemoCompact {
-		return &compactMemo{wordVals: wordVals}
-	}
-	if wordVals {
-		return &denseWordMemo{n: n}
-	}
-	return &denseBitMemo{n: n}
-}
-
-// denseBitMemo is the PR 2 near-cache layout: words[id] holds
-// epoch<<1 | bit, valid iff words[id]>>1 equals the current epoch. The
-// array is allocated lazily on first put, so structures that never consult
-// the memo (the Section 3 sampler) pay nothing.
-type denseBitMemo struct {
-	n     int
-	words []uint64
-	epoch uint64
-}
-
-// ensure allocates the backing array on first use.
-//
-//fairnn:noalloc
-func (m *denseBitMemo) ensure() []uint64 {
-	if m.words == nil {
-		m.words = make([]uint64, m.n)
-	}
-	return m.words
-}
-
-func (m *denseBitMemo) get(id int32) (uint64, bool) {
-	if m.words == nil {
-		return 0, false
-	}
-	if s := m.words[id]; s>>1 == m.epoch {
-		return s & 1, true
-	}
-	return 0, false
-}
-
-func (m *denseBitMemo) put(id int32, val uint64) {
-	m.ensure()[id] = m.epoch<<1 | val&1
-}
-
-func (m *denseBitMemo) reset() { m.epoch++ }
-
-func (m *denseBitMemo) retainedBytes() int { return 8 * len(m.words) }
-
-func (m *denseBitMemo) shrink(maxBytes int) {
-	if m.retainedBytes() > maxBytes {
-		m.words = nil
-	}
-}
-
-// denseWordMemo is the PR 2 similarity-memo layout: stamp[id] == epoch
-// means vals[id] holds the memoized word. Allocated lazily on first put.
-type denseWordMemo struct {
-	n     int
-	stamp []uint64
-	vals  []uint64
-	epoch uint64
-}
-
-// ensure allocates the backing arrays on first use.
-//
-//fairnn:noalloc
-func (m *denseWordMemo) ensure() {
-	if m.stamp == nil {
-		m.stamp = make([]uint64, m.n)
-		m.vals = make([]uint64, m.n)
-	}
-}
-
-func (m *denseWordMemo) get(id int32) (uint64, bool) {
-	if m.stamp == nil || m.stamp[id] != m.epoch {
-		return 0, false
-	}
-	return m.vals[id], true
-}
-
-func (m *denseWordMemo) put(id int32, val uint64) {
-	m.ensure()
-	m.stamp[id] = m.epoch
-	m.vals[id] = val
-}
-
-func (m *denseWordMemo) reset() { m.epoch++ }
-
-func (m *denseWordMemo) retainedBytes() int { return 16 * len(m.stamp) }
-
-func (m *denseWordMemo) shrink(maxBytes int) {
-	if m.retainedBytes() > maxBytes {
-		m.stamp, m.vals = nil, nil
-	}
-}
-
 // compactMemoMinCap is the seed capacity (slots, power of two) of a
-// compact table; 64 slots cover most rejection loops without growth.
+// memo table; 64 slots cover most rejection loops without growth.
 const compactMemoMinCap = 64
 
 // Per-slot footprint after packing: one uint64 holds key, stamp and the
@@ -274,13 +90,15 @@ const (
 // stamp can never resurrect a stale entry.
 const compactMemoEpochMax = 1 << 31
 
-// compactMemo is the bounded backend: an open-addressing (linear-probing)
+// compactMemo is the per-query memo: an open-addressing (linear-probing)
 // hash table over ids whose slots are epoch-stamped — a slot is live iff
 // its stamp equals the current epoch, so reset invalidates the whole table
 // in O(1) with no clearing. Within one epoch no entry is ever deleted, so
 // probe chains stay intact. Capacity is a power of two, grown geometrically
 // at ¾ load and recycled across checkouts; a query touching C distinct
-// candidates retains Θ(C) slots, independent of n.
+// candidates retains Θ(C) slots, independent of n. The table is
+// allocated lazily on first put, so a querier that never consults its
+// memo (the Section 3 sampler's) pins none.
 //
 // Each slot packs (key, stamp) — and, in bit mode, the verdict — into one
 // word:
@@ -305,10 +123,15 @@ type compactMemo struct {
 // memoHash spreads an id over the table (Fibonacci multiplicative hash;
 // the mask keeps the low bits, so the constant's high-entropy product is
 // shifted down by the caller via mask on a power-of-two capacity).
+//
+//fairnn:noalloc
 func memoHash(id int32) uint64 {
 	return uint64(uint32(id)) * 0x9e3779b97f4a7c15 >> 13
 }
 
+// get returns the value stored for id in the current epoch.
+//
+//fairnn:noalloc
 func (m *compactMemo) get(id int32) (uint64, bool) {
 	if m.slots == nil {
 		return 0, false
@@ -328,6 +151,11 @@ func (m *compactMemo) get(id int32) (uint64, bool) {
 	}
 }
 
+// put stores val for id in the current epoch (bit mode keeps val&1).
+// Growth is the lazy-init branch: capacity is recycled across checkouts,
+// so a steady-state query finds the table already large enough.
+//
+//fairnn:noalloc
 func (m *compactMemo) put(id int32, val uint64) {
 	if m.slots == nil || 4*(m.live+1) > 3*len(m.slots) {
 		m.grow()
@@ -385,6 +213,8 @@ func (m *compactMemo) grow() {
 // live. The packed stamp is 31 bits: when the epoch would reach the
 // packing limit the table is cleared outright and the epoch restarts at 1
 // — one O(capacity) clear per 2³¹ checkouts, never a stale hit.
+//
+//fairnn:noalloc
 func (m *compactMemo) reset() {
 	m.epoch++
 	if m.epoch >= compactMemoEpochMax {
@@ -394,8 +224,16 @@ func (m *compactMemo) reset() {
 	m.live = 0
 }
 
+// retainedBytes reports the backing-array footprint (for the pool's
+// scratch budget and the footprint gauge).
+//
+//fairnn:noalloc
 func (m *compactMemo) retainedBytes() int { return 8 * (len(m.slots) + len(m.vals)) }
 
+// shrink frees the backing arrays when they exceed maxBytes; the table
+// stays usable and reallocates lazily on the next put.
+//
+//fairnn:noalloc
 func (m *compactMemo) shrink(maxBytes int) {
 	if m.retainedBytes() > maxBytes {
 		m.slots, m.vals = nil, nil

@@ -1,14 +1,12 @@
 package core
 
-// Tests for the PR 3 memory discipline: the compact memo backend must be
-// an exact drop-in for the dense one (bit-identical sample streams across
-// every sampler), the compact table itself must survive epoch recycling
-// and growth, the bounded querier pool must cap burst memory, and the
-// whole compact path must be race-clean.
+// Tests for the per-query memory discipline: the compact memo table must
+// return exactly what the predicate it caches computes, survive epoch
+// recycling and growth, the bounded querier pool must cap burst memory,
+// and the whole memo path must be race-clean.
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"testing"
 
@@ -16,17 +14,6 @@ import (
 	"fairnn/internal/rng"
 	"fairnn/internal/vector"
 )
-
-func backendName(b MemoBackend) string {
-	switch b {
-	case MemoDense:
-		return "dense"
-	case MemoCompact:
-		return "compact"
-	default:
-		return "auto"
-	}
-}
 
 // TestCompactMemoTable unit-tests the open-addressing stamped table in
 // word mode (the similarity-memo layout, with the packed key+stamp slot
@@ -175,128 +162,19 @@ func TestCompactMemoAdversarialCollisions(t *testing.T) {
 	}
 }
 
-// newBackendIndependent builds the Section 4 structure with a forced memo
-// backend over a multi-bucket family (modFamily), so the rejection loop,
-// the merged cursor, and the memo all do real work.
-func newBackendIndependent(t *testing.T, backend MemoBackend, seed uint64) *Independent[int] {
-	t.Helper()
-	opts := IndependentOptions{Memo: MemoOptions{Backend: backend}}
-	d, err := NewIndependent[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 5}, lineDataset(128), 20, opts, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-// TestMemoBackendsIdenticalStreams is the seeded drop-in property: with
-// identical seeds, the dense-memo and compact-memo builds of every
-// sampler must emit bit-identical sample streams — the backend may change
-// cost, never output. Covered: Independent (NNIS Sample + SampleK),
-// Sampler (NNS Sample + SampleK), Weighted, and FilterIndependent
-// (Sample + SampleK over planted vectors).
-func TestMemoBackendsIdenticalStreams(t *testing.T) {
-	t.Run("nnis", func(t *testing.T) {
-		dense := newBackendIndependent(t, MemoDense, 211)
-		compact := newBackendIndependent(t, MemoCompact, 211)
-		for i := 0; i < 200; i++ {
-			q := i % 96
-			wantID, wantOK := dense.Sample(q, nil)
-			gotID, gotOK := compact.Sample(q, nil)
-			if wantID != gotID || wantOK != gotOK {
-				t.Fatalf("Sample(%d) #%d: compact (%d, %v), dense (%d, %v)", q, i, gotID, gotOK, wantID, wantOK)
-			}
-		}
-		for i := 0; i < 30; i++ {
-			want := dense.SampleK(5, 25, nil)
-			got := compact.SampleK(5, 25, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("SampleK #%d: compact %v, dense %v", i, got, want)
-			}
-		}
-	})
-
-	t.Run("nns", func(t *testing.T) {
-		mk := func(backend MemoBackend) *Sampler[int] {
-			s, err := NewSamplerMemo[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 5}, lineDataset(128), 20, MemoOptions{Backend: backend}, 223)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
-		dense, compact := mk(MemoDense), mk(MemoCompact)
-		for q := 0; q < 60; q++ {
-			wantID, wantOK := dense.Sample(q, nil)
-			gotID, gotOK := compact.Sample(q, nil)
-			if wantID != gotID || wantOK != gotOK {
-				t.Fatalf("Sample(%d): compact (%d, %v), dense (%d, %v)", q, gotID, gotOK, wantID, wantOK)
-			}
-			if want, got := dense.SampleK(q, 10, nil), compact.SampleK(q, 10, nil); !slices.Equal(got, want) {
-				t.Fatalf("SampleK(%d): compact %v, dense %v", q, got, want)
-			}
-		}
-	})
-
-	t.Run("weighted", func(t *testing.T) {
-		mk := func(backend MemoBackend) *Weighted[int] {
-			opts := IndependentOptions{Memo: MemoOptions{Backend: backend}}
-			w, err := NewWeighted[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 4}, lineDataset(96), 15,
-				func(score float64) float64 { return 1 / (1 + score) }, 1, opts, 227)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
-		}
-		dense, compact := mk(MemoDense), mk(MemoCompact)
-		for i := 0; i < 150; i++ {
-			q := i % 70
-			wantID, wantOK := dense.Sample(q, nil)
-			gotID, gotOK := compact.Sample(q, nil)
-			if wantID != gotID || wantOK != gotOK {
-				t.Fatalf("Weighted.Sample(%d) #%d: compact (%d, %v), dense (%d, %v)", q, i, gotID, gotOK, wantID, wantOK)
-			}
-		}
-	})
-
-	t.Run("filter", func(t *testing.T) {
-		w := plantedWorkload(t, 250, 12, 40, 0.8, 0.5, 229)
-		mk := func(backend MemoBackend) *FilterIndependent {
-			opts := FilterIndependentOptions{Memo: MemoOptions{Backend: backend}}
-			fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, opts, 233)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fi
-		}
-		dense, compact := mk(MemoDense), mk(MemoCompact)
-		for i := 0; i < 120; i++ {
-			wantID, wantOK := dense.Sample(w.Query, nil)
-			gotID, gotOK := compact.Sample(w.Query, nil)
-			if wantID != gotID || wantOK != gotOK {
-				t.Fatalf("Filter.Sample #%d: compact (%d, %v), dense (%d, %v)", i, gotID, gotOK, wantID, wantOK)
-			}
-		}
-		for i := 0; i < 20; i++ {
-			want := dense.SampleK(w.Query, 30, nil)
-			got := compact.SampleK(w.Query, 30, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("Filter.SampleK #%d: compact %v, dense %v", i, got, want)
-			}
-		}
-	})
-}
-
 // TestCompactSimMemoExactBits pins that round-tripping similarities
-// through Float64bits in the compact table is exact: memoized repeats
-// must equal the directly computed inner product bit for bit.
+// through Float64bits in the memo table is exact: simOf's memoized
+// repeats and every value simBlock returns must equal vector.Dot bit for
+// bit — over more ids than compactMemoMinCap, so the word table grows,
+// and in a second epoch (the next getQuerier) under a different query,
+// where any value left over from the first epoch would be wrong.
 func TestCompactSimMemoExactBits(t *testing.T) {
 	w := plantedWorkload(t, 200, 10, 30, 0.8, 0.5, 239)
-	opts := FilterIndependentOptions{Memo: MemoOptions{Backend: MemoCompact}}
-	fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, opts, 241)
+	fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, FilterIndependentOptions{}, 241)
 	if err != nil {
 		t.Fatal(err)
 	}
 	qr := fi.getQuerier()
-	defer fi.putQuerier(qr)
 	var st QueryStats
 	for id := int32(0); id < 50; id++ {
 		first := fi.simOf(qr, w.Query, id, &st)
@@ -309,8 +187,46 @@ func TestCompactSimMemoExactBits(t *testing.T) {
 	if st.ScoreCacheHits != 50 {
 		t.Fatalf("ScoreCacheHits = %d, want 50", st.ScoreCacheHits)
 	}
-	if st.MemoProbes == 0 {
-		t.Fatal("compact sim memo recorded no probes")
+	if st.MemoProbes != 100 {
+		t.Fatalf("MemoProbes = %d, want one per simOf call (100)", st.MemoProbes)
+	}
+
+	ids := make([]int32, fi.N())
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	// blocks checks simBlock against vector.Dot over all ids, one
+	// fiBatchBlock at a time, and reports the block calls' cache hits.
+	blocks := func(epoch string, q vector.Vec) int {
+		t.Helper()
+		var bst QueryStats
+		for lo := 0; lo < len(ids); lo += fiBatchBlock {
+			block := ids[lo:min(lo+fiBatchBlock, len(ids))]
+			for k, s := range fi.simBlock(qr, q, block, &bst) {
+				if direct := vector.Dot(q, fi.Point(block[k])); math.Float64bits(s) != math.Float64bits(direct) {
+					t.Fatalf("%s: simBlock id %d = %x, vector.Dot %x", epoch, block[k], math.Float64bits(s), math.Float64bits(direct))
+				}
+			}
+		}
+		return bst.ScoreCacheHits
+	}
+	if hits := blocks("first epoch", w.Query); hits != 50 {
+		t.Fatalf("first simBlock pass hit %d ids, want the 50 simOf memoized", hits)
+	}
+	if len(qr.sim.slots) <= compactMemoMinCap {
+		t.Fatalf("%d ids left the word table at %d slots; want growth past %d", len(ids), len(qr.sim.slots), compactMemoMinCap)
+	}
+	if hits := blocks("first epoch repeat", w.Query); hits != len(ids) {
+		t.Fatalf("repeat simBlock pass hit %d ids, want all %d", hits, len(ids))
+	}
+
+	fi.putQuerier(qr)
+	if next := fi.getQuerier(); next != qr {
+		t.Fatal("the pool did not hand the same querier back")
+	}
+	defer fi.putQuerier(qr)
+	if hits := blocks("second epoch", fi.Point(ids[len(ids)-1])); hits != 0 {
+		t.Fatalf("second epoch's first pass hit %d ids, want 0", hits)
 	}
 }
 
@@ -320,7 +236,7 @@ func TestCompactSimMemoExactBits(t *testing.T) {
 // independent of the burst width.
 func TestQuerierPoolBurstBounded(t *testing.T) {
 	const retain = 3
-	opts := IndependentOptions{Memo: MemoOptions{Backend: MemoDense, MaxRetainedQueriers: retain}}
+	opts := IndependentOptions{Memo: MemoOptions{MaxRetainedQueriers: retain}}
 	d, err := NewIndependent[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 4}, lineDataset(256), 30, opts, 251)
 	if err != nil {
 		t.Fatal(err)
@@ -349,9 +265,9 @@ func TestQuerierPoolBurstBounded(t *testing.T) {
 	if got := d.RetainedQueriers(); got > retain {
 		t.Fatalf("pool retained %d queriers after a %d-goroutine burst, want <= %d", got, burst, retain)
 	}
-	// Each retained dense querier pins ~8 B/point of near-cache (once
-	// touched) plus small candidate buffers; the total must be far below
-	// what the burst would have pinned unbounded.
+	// Each retained querier pins at most one near-cache table plus small
+	// candidate buffers; the total must be far below what the burst
+	// would have pinned unbounded.
 	perQuerier := 8*d.N() + 4096
 	if got := d.RetainedScratchBytes(); got > retain*perQuerier {
 		t.Fatalf("retained scratch %d B, want <= %d B", got, retain*perQuerier)
@@ -363,7 +279,6 @@ func TestQuerierPoolBurstBounded(t *testing.T) {
 // with the oversized backing arrays freed.
 func TestPutQuerierTrimsOversizedScratch(t *testing.T) {
 	opts := IndependentOptions{Memo: MemoOptions{
-		Backend:             MemoCompact,
 		MaxRetainedQueriers: 4,
 		ScratchBudget:       compactMemoBitSlotBytes * compactMemoMinCap, // one seed near-cache table exactly
 	}}
@@ -430,7 +345,6 @@ func TestFilterTrimEnforcesSummedBudget(t *testing.T) {
 	w := plantedWorkload(t, 400, 12, 60, 0.8, 0.5, 277)
 	const budget = 2048
 	opts := FilterIndependentOptions{Memo: MemoOptions{
-		Backend:             MemoCompact,
 		MaxRetainedQueriers: 4,
 		ScratchBudget:       budget,
 	}}
@@ -449,36 +363,13 @@ func TestFilterTrimEnforcesSummedBudget(t *testing.T) {
 	}
 }
 
-// TestDenseBudgetFloorPreventsThrash pins the forced-dense semantics: a
-// ScratchBudget below the dense-array size must not free the memo on
-// every Put (which would silently turn pooling into a per-query O(n)
-// allocation) — the effective budget is floored at the dense footprint,
-// so the populated array survives in the pool.
-func TestDenseBudgetFloorPreventsThrash(t *testing.T) {
-	const n = 50_000
-	opts := IndependentOptions{Memo: MemoOptions{
-		Backend:             MemoDense,
-		MaxRetainedQueriers: 2,
-		ScratchBudget:       1024, // far below the 8n dense array
-	}}
-	d, err := NewIndependent[int](intSpace(), chunkFamily{width: 64}, lsh.Params{K: 1, L: 4}, lineDataset(n), 40, opts, 281)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Sample(100, nil); !ok {
-		t.Fatal("query failed")
-	}
-	if got := d.RetainedScratchBytes(); got < 8*n {
-		t.Fatalf("retained %d B; the dense near-cache (8n = %d B) must survive Put under the floored budget", got, 8*n)
-	}
-}
-
-// TestCompactPathConcurrentRace stress-tests the compact backend under
-// -race: interleaved Sample/SampleKInto across goroutines on a shared
-// compact-forced structure, with outputs checked against the ball.
+// TestCompactPathConcurrentRace stress-tests the memo under -race:
+// interleaved Sample/SampleKInto across goroutines on a shared structure
+// whose pool retains only two queriers, with outputs checked against the
+// ball.
 func TestCompactPathConcurrentRace(t *testing.T) {
 	const ballSize = 8
-	opts := IndependentOptions{Memo: MemoOptions{Backend: MemoCompact, MaxRetainedQueriers: 2}}
+	opts := IndependentOptions{Memo: MemoOptions{MaxRetainedQueriers: 2}}
 	d, err := NewIndependent[int](intSpace(), allCollide{}, lsh.Params{K: 1, L: 3}, lineDataset(64), float64(ballSize-1), opts, 263)
 	if err != nil {
 		t.Fatal(err)
@@ -508,34 +399,28 @@ func TestCompactPathConcurrentRace(t *testing.T) {
 }
 
 // TestCompactScratchSublinear is the CI smoke for the o(n) contract: on a
-// bucketed dataset the compact path's retained scratch must stay a small
-// fraction of the dense path's 8·n near-cache — at least the 10× headroom
-// the acceptance gate demands, with the same query load. The burst is
-// simulated deterministically (see burstScratch): each of the 8 pool
-// slots is populated by a real query and held checked out so the later
-// slots cannot reuse it, exactly the steady state after an 8-wide
-// concurrent burst.
+// bucketed dataset the retained scratch must stay a small fraction of an
+// 8·n-byte per-point array per querier — at least 10× below it — and at
+// most n bytes per querier. The burst is simulated deterministically (see
+// burstScratch): each of the 8 pool slots is populated by a real query
+// and held checked out so the later slots cannot reuse it, exactly the
+// steady state after an 8-wide concurrent burst.
 func TestCompactScratchSublinear(t *testing.T) {
 	const n, queriers = 100_000, 8
-	run := func(backend MemoBackend) int {
-		opts := IndependentOptions{Memo: MemoOptions{Backend: backend, MaxRetainedQueriers: queriers}}
-		d, err := NewIndependent[int](intSpace(), chunkFamily{width: 64}, lsh.Params{K: 1, L: 4}, lineDataset(n), 40, opts, 269)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytes, retained := burstScratch(d, queriers)
-		if retained != queriers {
-			t.Fatalf("retained %d queriers, want %d", retained, queriers)
-		}
-		return bytes
+	opts := IndependentOptions{Memo: MemoOptions{MaxRetainedQueriers: queriers}}
+	d, err := NewIndependent[int](intSpace(), chunkFamily{width: 64}, lsh.Params{K: 1, L: 4}, lineDataset(n), 40, opts, 269)
+	if err != nil {
+		t.Fatal(err)
 	}
-	denseBytes := run(MemoDense)
-	compactBytes := run(MemoCompact)
-	if compactBytes*10 > denseBytes {
-		t.Fatalf("compact retained %d B vs dense %d B; want <= 1/10", compactBytes, denseBytes)
+	bytes, retained := burstScratch(d, queriers)
+	if retained != queriers {
+		t.Fatalf("retained %d queriers, want %d", retained, queriers)
 	}
-	if perQuerier := compactBytes / queriers; perQuerier > n {
-		t.Fatalf("compact per-querier scratch = %d B at n = %d; want o(n)", perQuerier, n)
+	if perPoint := 8 * n * queriers; bytes*10 > perPoint {
+		t.Fatalf("retained %d B vs %d B of 8·n per-point arrays; want <= 1/10", bytes, perPoint)
+	}
+	if perQuerier := bytes / queriers; perQuerier > n {
+		t.Fatalf("per-querier scratch = %d B at n = %d; want o(n)", perQuerier, n)
 	}
 }
 
@@ -572,12 +457,12 @@ func (f chunkFamily) New(r *rng.Source) lsh.Func[int] {
 
 func (chunkFamily) CollisionProb(float64) float64 { return 0.9 }
 
-// TestDenseMemoLazyForSampler pins the lazy dense allocation: the
+// TestDenseMemoLazyForSampler pins the lazy memo allocation: the
 // Section 3 sampler never consults the near-cache, so its pooled queriers
-// must not pin the 8·n dense array at all.
+// must not pin a memo table at all.
 func TestDenseMemoLazyForSampler(t *testing.T) {
 	const n = 50_000
-	s, err := NewSamplerMemo[int](intSpace(), chunkFamily{width: 32}, lsh.Params{K: 1, L: 3}, lineDataset(n), 10, MemoOptions{Backend: MemoDense}, 271)
+	s, err := NewSampler[int](intSpace(), chunkFamily{width: 32}, lsh.Params{K: 1, L: 3}, lineDataset(n), 10, 271)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,6 +471,11 @@ func TestDenseMemoLazyForSampler(t *testing.T) {
 		s.SampleK(i, 5, nil)
 	}
 	if got := s.RetainedScratchBytes(); got >= 8*n {
-		t.Fatalf("Sampler retained %d B (>= dense 8n = %d); near-cache must stay unallocated", got, 8*n)
+		t.Fatalf("Sampler retained %d B (>= 8n = %d); near-cache must stay unallocated", got, 8*n)
 	}
+	s.base.pool.Fold(func(qr *querier) {
+		if got := qr.near.retainedBytes(); got != 0 {
+			t.Errorf("a pooled Sampler querier pins a %d B near-cache; it must stay unallocated", got)
+		}
+	})
 }

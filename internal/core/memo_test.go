@@ -129,29 +129,20 @@ func TestResolveInvalidatesMergedCursor(t *testing.T) {
 }
 
 // TestMemoizedDistributionPreserved is the seeded statistical regression
-// for the memoization layers, run once per memo backend (dense and
-// compact must both leave the distribution untouched): Sample and SampleK
+// for the memoization layers over the compact memo: Sample and SampleK
 // frequencies over a fixed dataset must stay uniform on the exact ball
 // (chi-squared), the support must equal the ball exactly, and the run
 // must actually exercise the merged cursor and the near-cache (otherwise
 // the test would vacuously pass on the legacy path).
 func TestMemoizedDistributionPreserved(t *testing.T) {
-	for _, backend := range []MemoBackend{MemoDense, MemoCompact} {
-		t.Run(backendName(backend), func(t *testing.T) {
-			testMemoizedDistributionPreserved(t, backend)
-		})
-	}
+	t.Run("compact", testMemoizedDistributionPreserved)
 }
 
-func testMemoizedDistributionPreserved(t *testing.T, backend MemoBackend) {
+func testMemoizedDistributionPreserved(t *testing.T) {
 	const n, ballSize = 64, 8
-	opts := IndependentOptions{Memo: MemoOptions{Backend: backend}}
-	d, err := NewIndependent[int](intSpace(), allCollide{}, lsh.Params{K: 1, L: 3}, lineDataset(n), float64(ballSize-1), opts, 83)
+	d, err := NewIndependent[int](intSpace(), allCollide{}, lsh.Params{K: 1, L: 3}, lineDataset(n), float64(ballSize-1), IndependentOptions{}, 83)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d.MemoBackendInUse() != backend {
-		t.Fatalf("backend = %v, want %v", d.MemoBackendInUse(), backend)
 	}
 	domain := domainInts(ballSize)
 
@@ -209,11 +200,8 @@ func testMemoizedDistributionPreserved(t *testing.T, backend MemoBackend) {
 	if kst.ScoreCacheHits == 0 {
 		t.Error("near-cache recorded no hits across SampleK rounds")
 	}
-	if backend == MemoCompact && kst.MemoProbes == 0 {
-		t.Error("compact backend recorded no MemoProbes; the bounded path was not exercised")
-	}
-	if backend == MemoDense && kst.MemoProbes != 0 {
-		t.Errorf("dense backend recorded %d MemoProbes, want 0 (dense fast path)", kst.MemoProbes)
+	if kst.MemoProbes == 0 {
+		t.Error("near-cache recorded no MemoProbes; the memo path was not exercised")
 	}
 }
 

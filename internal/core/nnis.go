@@ -32,11 +32,10 @@ type IndependentOptions struct {
 	// SketchMinBucket is the bucket size below which sketches are built on
 	// demand instead of stored (the paper's Θ(log n) space rule).
 	SketchMinBucket int
-	// Memo is the per-query memory discipline: which near-cache backend
-	// pooled queriers carry (dense arrays below Memo.DenseThreshold
-	// points, a compact o(n) table above) and how much scratch the
-	// querier pool may retain across checkouts. The zero value keeps the
-	// dense fast path at small n and bounds pooled memory at large n.
+	// Memo is the per-query memory discipline: how many queriers the
+	// pool retains across checkouts and how much scratch (near-cache plus
+	// candidate buffers) each may keep. The zero value follows
+	// MemoOptions' defaults.
 	Memo MemoOptions
 	// Obs, when non-nil, registers the draw-loop telemetry bundle
 	// (layer="core" counters plus a latency histogram) against the
@@ -171,10 +170,6 @@ func (d *Independent[P]) Options() IndependentOptions { return d.opts }
 
 // Point returns the indexed point with the given id.
 func (d *Independent[P]) Point(id int32) P { return d.base.Point(id) }
-
-// MemoBackendInUse reports the resolved near-cache backend (dense or
-// compact after MemoAuto's threshold decision).
-func (d *Independent[P]) MemoBackendInUse() MemoBackend { return d.base.MemoBackendInUse() }
 
 // RetainedScratchBytes reports the backing-array footprint of the pooled
 // per-query scratch this structure currently pins between queries.

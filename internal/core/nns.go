@@ -37,10 +37,9 @@ func NewSampler[P any](space Space[P], family lsh.Family[P], params lsh.Params, 
 }
 
 // NewSamplerMemo is NewSampler with an explicit per-query memory
-// discipline (querier-pool retention cap and scratch budget; the Section 3
-// query path never consults the near-cache, whose dense array is allocated
-// lazily, so the backend choice only matters for structures layered on the
-// same base).
+// discipline (querier-pool retention cap and scratch budget). The
+// Section 3 query path never consults the near-cache, whose table is
+// allocated lazily, so its queriers pin no memo.
 func NewSamplerMemo[P any](space Space[P], family lsh.Family[P], params lsh.Params, points []P, radius float64, memo MemoOptions, seed uint64) (*Sampler[P], error) {
 	src := rng.New(seed)
 	base, err := newRankedBase(space, family, params, points, radius, memo, src)

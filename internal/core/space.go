@@ -125,9 +125,8 @@ type QueryStats struct {
 	// per-query memo table (the epoch-stamped near-cache) instead of
 	// re-evaluating the score.
 	ScoreCacheHits int
-	// MemoProbes counts lookups served by the compact (bounded) memo
-	// backend — zero on the dense fast path, so the counter makes the
-	// dense→compact threshold observable per query.
+	// MemoProbes counts per-query memo lookups (near-cache and
+	// similarity memo); ScoreCacheHits counts the ones that hit.
 	MemoProbes int
 	// CursorMerged reports that the query materialized the merged
 	// candidate cursor (the adaptive k-way merge of all L buckets).

@@ -34,11 +34,6 @@ type CostConfig struct {
 	FarBudget float64
 	Recall    float64
 	Seed      uint64
-	// Memo is the per-query memory discipline passed to the pooled
-	// samplers (memo backend, querier retention cap, scratch budget);
-	// the zero value keeps the defaults. The CLI's -memo flag lands
-	// here, so the PR 3 backend knob is exercisable end to end.
-	Memo core.MemoOptions
 }
 
 // DefaultCost uses the Last.FM-like workload at r = 0.2.
@@ -104,11 +99,11 @@ func RunCost(cfg CostConfig) (*CostResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	smp, err := core.NewSamplerMemo[set.Set](space, lsh.OneBitMinHash{}, params, sets, cfg.Radius, cfg.Memo, cfg.Seed+13)
+	smp, err := core.NewSampler[set.Set](space, lsh.OneBitMinHash{}, params, sets, cfg.Radius, cfg.Seed+13)
 	if err != nil {
 		return nil, err
 	}
-	ind, err := core.NewIndependent[set.Set](space, lsh.OneBitMinHash{}, params, sets, cfg.Radius, core.IndependentOptions{Memo: cfg.Memo}, cfg.Seed+17)
+	ind, err := core.NewIndependent[set.Set](space, lsh.OneBitMinHash{}, params, sets, cfg.Radius, core.IndependentOptions{}, cfg.Seed+17)
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +161,11 @@ func RunCost(cfg CostConfig) (*CostResult, error) {
 	})
 	radius := math.Sqrt(2 - 2*0.8)
 	vecInd, err := core.NewIndependent[vector.Vec](core.Euclidean(), lsh.Euclidean{Dim: 32, W: 2 * radius},
-		lsh.Params{K: 2, L: 12}, ball.Points, radius, core.IndependentOptions{Memo: cfg.Memo}, cfg.Seed+37)
+		lsh.Params{K: 2, L: 12}, ball.Points, radius, core.IndependentOptions{}, cfg.Seed+37)
 	if err != nil {
 		return nil, err
 	}
-	fi, err := core.NewFilterIndependent(ball.Points, 0.8, 0.5, core.FilterIndependentOptions{Memo: cfg.Memo}, cfg.Seed+41)
+	fi, err := core.NewFilterIndependent(ball.Points, 0.8, 0.5, core.FilterIndependentOptions{}, cfg.Seed+41)
 	if err != nil {
 		return nil, err
 	}

@@ -33,10 +33,6 @@ type ScalingConfig struct {
 	// QueriesPerN is the number of measured queries per size.
 	QueriesPerN int
 	Seed        uint64
-	// Memo is the per-query memory discipline passed to the filter
-	// structure; the zero value keeps the defaults (the CLI's -memo
-	// flag lands here).
-	Memo core.MemoOptions
 	// Shards, when > 0, additionally builds a sharded Section 4 sampler
 	// (SimHash over the same vectors, partitioned round-robin across
 	// Shards shards) at every n and reports its build and query wall
@@ -108,7 +104,7 @@ func RunScaling(cfg ScalingConfig) (*ScalingResult, error) {
 			BallSize: cfg.BallSize, MidSize: cfg.MidSize,
 			Seed: cfg.Seed + uint64(n),
 		})
-		fi, err := core.NewFilterIndependent(w.Points, cfg.Alpha, cfg.Beta, core.FilterIndependentOptions{Memo: cfg.Memo}, cfg.Seed+uint64(n)*7)
+		fi, err := core.NewFilterIndependent(w.Points, cfg.Alpha, cfg.Beta, core.FilterIndependentOptions{}, cfg.Seed+uint64(n)*7)
 		if err != nil {
 			return nil, err
 		}
@@ -166,7 +162,7 @@ func shardedPoint(cfg ScalingConfig, w dataset.PlantedBall, n int) (buildMicros,
 	}
 	start := time.Now()
 	sh, err := shard.BuildConfig[vector.Vec](core.InnerProduct(), fam, paramsFor, w.Points, cfg.Alpha,
-		core.IndependentOptions{Memo: cfg.Memo}, shard.Config{Shards: cfg.Shards, Partitioner: shard.RoundRobin{}, Seed: cfg.Seed + uint64(n)*13})
+		core.IndependentOptions{}, shard.Config{Shards: cfg.Shards, Partitioner: shard.RoundRobin{}, Seed: cfg.Seed + uint64(n)*13})
 	if err != nil {
 		return 0, 0, err
 	}

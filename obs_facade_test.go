@@ -29,7 +29,7 @@ func drawStats[P any](s fairnn.Sampler[P], q P, n int) ([]int32, fairnn.QuerySta
 
 // TestObserveBitEquivalence builds twin samplers — one bare, one with a
 // live registry (and, where sharded, trace sampling) — over every
-// instrumented construction and memo backend, and requires identical
+// instrumented construction, and requires identical
 // sample streams and per-query counters. The registry must also have
 // actually recorded draws, so the test cannot pass with telemetry
 // silently disconnected.
@@ -62,46 +62,38 @@ func TestObserveBitEquivalence(t *testing.T) {
 		}
 	}
 
-	for _, backend := range []struct {
-		name string
-		memo fairnn.MemoOptions
-	}{
-		{"dense", fairnn.MemoOptions{Backend: fairnn.MemoDense}},
-		{"compact", fairnn.MemoOptions{Backend: fairnn.MemoCompact}},
-	} {
-		t.Run("set-nnis-"+backend.name, func(t *testing.T) {
-			bare, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.WithSeed(23), fairnn.WithMemo(backend.memo))
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg := fairnn.NewRegistry()
-			obsd, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.WithSeed(23), fairnn.WithMemo(backend.memo), fairnn.Observe(reg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantSt := drawStats[fairnn.Set](bare, q, draws)
-			got, gotSt := drawStats[fairnn.Set](obsd, q, draws)
-			check(t, got, want, gotSt, wantSt)
-			recorded(t, reg, "core")
-		})
-		t.Run("vec-filter-"+backend.name, func(t *testing.T) {
-			bare, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter),
-				fairnn.WithBeta(0.4), fairnn.WithSeed(47), fairnn.WithMemo(backend.memo))
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg := fairnn.NewRegistry()
-			obsd, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter),
-				fairnn.WithBeta(0.4), fairnn.WithSeed(47), fairnn.WithMemo(backend.memo), fairnn.Observe(reg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantSt := drawStats[fairnn.Vec](bare, w.Query, draws)
-			got, gotSt := drawStats[fairnn.Vec](obsd, w.Query, draws)
-			check(t, got, want, gotSt, wantSt)
-			recorded(t, reg, "filter")
-		})
-	}
+	t.Run("set-nnis-compact", func(t *testing.T) {
+		bare, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.WithSeed(23))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := fairnn.NewRegistry()
+		obsd, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.WithSeed(23), fairnn.Observe(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantSt := drawStats[fairnn.Set](bare, q, draws)
+		got, gotSt := drawStats[fairnn.Set](obsd, q, draws)
+		check(t, got, want, gotSt, wantSt)
+		recorded(t, reg, "core")
+	})
+	t.Run("vec-filter-compact", func(t *testing.T) {
+		bare, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter),
+			fairnn.WithBeta(0.4), fairnn.WithSeed(47))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := fairnn.NewRegistry()
+		obsd, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter),
+			fairnn.WithBeta(0.4), fairnn.WithSeed(47), fairnn.Observe(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantSt := drawStats[fairnn.Vec](bare, w.Query, draws)
+		got, gotSt := drawStats[fairnn.Vec](obsd, w.Query, draws)
+		check(t, got, want, gotSt, wantSt)
+		recorded(t, reg, "filter")
+	})
 
 	for _, S := range []int{1, 4} {
 		t.Run(map[int]string{1: "sharded-1", 4: "sharded-4"}[S], func(t *testing.T) {

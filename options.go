@@ -175,8 +175,8 @@ func WithParams(k, l int) Option {
 	}
 }
 
-// WithMemo sets the per-query memory discipline (memo backend threshold,
-// querier retention cap, scratch budget); it is the only memo knob.
+// WithMemo sets the per-query memory discipline (querier retention cap,
+// per-querier scratch budget); it is the only memo knob.
 func WithMemo(m MemoOptions) Option {
 	return func(b *builder) { b.memo = m }
 }

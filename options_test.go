@@ -57,7 +57,7 @@ func TestBuilderStreamDigestsPinned(t *testing.T) {
 	w := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: 400, Dim: 24, Alpha: 0.8, Beta: 0.4, BallSize: 12, MidSize: 40, Seed: 9,
 	})
-	compact := fairnn.MemoOptions{Backend: fairnn.MemoCompact}
+	memo := fairnn.MemoOptions{MaxRetainedQueriers: 2}
 	for _, c := range []struct {
 		name string
 		opts []fairnn.Option
@@ -66,7 +66,7 @@ func TestBuilderStreamDigestsPinned(t *testing.T) {
 		{"NNIS", []fairnn.Option{fairnn.Radius(0.6), fairnn.WithSeed(23)}, "4699308cd2445120"},
 		{"NNIS-seed0", []fairnn.Option{fairnn.Radius(0.6), fairnn.WithSeed(0), fairnn.WithFarSim(-1)}, "f9c8b2cf8044cdc5"},
 		{"NNIS-tuned", []fairnn.Option{fairnn.Radius(0.6), fairnn.WithSeed(23), fairnn.WithFullMinHash(),
-			fairnn.WithRecall(0.9), fairnn.WithFarSim(0.2), fairnn.WithFarBudget(3), fairnn.WithMemo(compact),
+			fairnn.WithRecall(0.9), fairnn.WithFarSim(0.2), fairnn.WithFarBudget(3), fairnn.WithMemo(memo),
 			fairnn.WithIndependentOptions(fairnn.IndependentOptions{Lambda: 8})}, "8cbc34d713a0c9f4"},
 		{"NNS", []fairnn.Option{fairnn.Radius(0.6), fairnn.Algorithm(fairnn.NNS), fairnn.WithSeed(29), fairnn.WithParams(4, 7)}, "d4ba7f5d698ee034"},
 		{"Exact", []fairnn.Option{fairnn.Radius(0.6), fairnn.Algorithm(fairnn.Exact), fairnn.WithSeed(37)}, "451ef780732bacd5"},
@@ -94,7 +94,7 @@ func TestBuilderStreamDigestsPinned(t *testing.T) {
 	}{
 		{"NNIS", []fairnn.Option{fairnn.Radius(0.8), fairnn.WithSeed(53)}, "4b42c7a60fd4cbbe"},
 		{"NNIS-crosspoly", []fairnn.Option{fairnn.Radius(0.8), fairnn.WithSeed(53), fairnn.WithCrossPolytope(),
-			fairnn.WithFarSim(-0.2), fairnn.WithMemo(compact)}, "a087d92a33b29f80"},
+			fairnn.WithFarSim(-0.2), fairnn.WithMemo(memo)}, "a087d92a33b29f80"},
 		{"NNS", []fairnn.Option{fairnn.Radius(0.8), fairnn.Algorithm(fairnn.NNS), fairnn.WithSeed(59)}, "5da9f23a320473e4"},
 		{"Exact", []fairnn.Option{fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Exact), fairnn.WithSeed(61)}, "926308d21cddd4bc"},
 		{"Filter", []fairnn.Option{fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter), fairnn.WithBeta(0.4), fairnn.WithSeed(47)}, "f20030ecc4c24230"},
@@ -245,7 +245,7 @@ func TestBuilderTypedErrors(t *testing.T) {
 	// Observe and WithMemo are the only telemetry and memo knobs: the
 	// same fields inside an options struct are refused, never dropped,
 	// on every build path.
-	reg, memo := fairnn.NewRegistry(), fairnn.MemoOptions{Backend: fairnn.MemoCompact}
+	reg, memo := fairnn.NewRegistry(), fairnn.MemoOptions{ScratchBudget: 1 << 20}
 	for _, c := range []struct {
 		name, knob string
 		opt        fairnn.Option

@@ -3,6 +3,7 @@ package fairnn_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,21 +205,26 @@ func (p *panicAfterSampler) SampleContext(ctx context.Context, q int, st *fairnn
 // TestSampleBatchPanicContained pins the batch fan-out's containment: a
 // worker panic drains the batch (no wedged WaitGroup, no leaked
 // goroutine) and resurfaces on the caller as a catchable *PanicError
-// carrying the worker's stack.
+// carrying the worker's stack — also when one worker runs the batch on
+// the caller's goroutine.
 func TestSampleBatchPanicContained(t *testing.T) {
-	queries := make([]int, 64)
-	defer func() {
-		r := recover()
-		pe, ok := r.(*fairnn.PanicError)
-		if !ok {
-			t.Fatalf("recovered %#v, want *PanicError", r)
-		}
-		if pe.Recovered != "poisoned query" || len(pe.Stack) == 0 {
-			t.Errorf("PanicError = {Recovered: %v, stack %d bytes}, want the worker's panic with stack", pe.Recovered, len(pe.Stack))
-		}
-	}()
-	fairnn.SampleBatch[int](&panicAfterSampler{n: 10}, queries, 4)
-	t.Fatal("SampleBatch did not re-panic")
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			queries := make([]int, 64)
+			defer func() {
+				r := recover()
+				pe, ok := r.(*fairnn.PanicError)
+				if !ok {
+					t.Fatalf("recovered %#v, want *PanicError", r)
+				}
+				if pe.Recovered != "poisoned query" || len(pe.Stack) == 0 {
+					t.Errorf("PanicError = {Recovered: %v, stack %d bytes}, want the worker's panic with stack", pe.Recovered, len(pe.Stack))
+				}
+			}()
+			fairnn.SampleBatch[int](&panicAfterSampler{n: 10}, queries, workers)
+			t.Fatal("SampleBatch did not re-panic")
+		})
+	}
 }
 
 // TestSampleBatchContextPanicAsError pins the context variant's calmer
