@@ -52,7 +52,7 @@ func run(args []string) int {
 	n := fs.Int("n", 4000, "global point count across the whole fleet")
 	dim := fs.Int("dim", 32, "vector dimensionality (vec dataset)")
 	seed := fs.Uint64("seed", 42, "global build seed shared by the fleet")
-	radius := fs.Float64("radius", 40, "query radius (line) or similarity threshold α (vec)")
+	radius := fs.Float64("radius", 40, "query radius (line) or similarity threshold α in (0.5, 0.98) (vec)")
 	shards := fs.Int("shards", 1, "fleet size S")
 	shardIdx := fs.Int("shard", 0, "this server's shard index in [0, S)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-drain budget after SIGTERM/SIGINT")

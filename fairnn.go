@@ -311,17 +311,15 @@
 // 16 float64 lanes per iteration across four independent FMA
 // accumulator chains; the CPU features are probed once at startup and
 // the faster tier is selected automatically. Batched variants score a
-// whole block of candidates against one query in a single call, and the
-// query pipeline is organized around them: the Section 4 sampler
-// filters its memo-miss candidates per block through the optional
-// ScoreSqBatch seam of its metric space, the Section 5 sampler runs its
-// existence scan and filter evaluations over fixed-size blocks, and the
-// hash-signing engines compute their projection rows through the same
-// batched kernels. Batching and acceleration change cost only, never
-// output: within one build the batched and per-candidate paths produce
-// bit-identical sample streams and identical QueryStats counters
-// (ScoreEvals, ScoreCacheHits, MemoProbes), with BatchScored counting
-// how many of the scores went through a batched call.
+// whole block of candidates against one query in a single call: the
+// Section 5 sampler runs its existence scan and filter evaluations over
+// fixed-size blocks, and the hash-signing engines compute their
+// projection rows through the same batched kernels. The Section 4
+// sampler scores its candidates one at a time through the per-query
+// memo. Batching changes cost only, never output: within one build a
+// batched kernel returns bit-identical values to the per-pair one, and
+// QueryStats.BatchScored counts how many of a query's ScoreEvals went
+// through a batched call.
 //
 // The portable tier remains fully supported: building with the purego
 // (or noasm) build tag compiles the assembly out, and setting the

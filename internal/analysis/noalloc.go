@@ -33,7 +33,7 @@ import (
 // allocation in a hot function is visibly justified.
 //
 // Known holes, by design: dynamic calls (interface methods such as the
-// shard Backend stack, and func-valued fields such as nearFn/batchScore)
+// shard Backend stack, and func-valued fields such as nearFn)
 // are not chased, and FuncLit bodies are not descended into once the
 // literal itself is reported. The runtime zero-alloc oracles remain the
 // ground truth; this analyzer makes the common regressions impossible to
@@ -259,7 +259,7 @@ func (p *Pass) checkNoAllocCall(fd *ast.FuncDecl, call *ast.CallExpr, stack []as
 	}
 	fn := p.Callee(call)
 	if fn == nil {
-		// Func-valued call (nearFn, batchScore) — dynamic, not chased.
+		// Func-valued call (nearFn) — dynamic, not chased.
 		p.checkBoxing(fd, call, stack)
 		return
 	}

@@ -39,15 +39,6 @@ type rankedBase[P any] struct {
 	// radius; Distance spaces with a ScoreSq kernel compare squared
 	// scores against r², skipping one math.Sqrt per candidate.
 	nearFn func(a, b P) bool
-	// batchScore, when non-nil, fills out[k] with ScoreSq(q, points[ids[k]])
-	// for a whole candidate block per call (resolved from Space.ScoreSqBatch
-	// at build time; keepNear compares the results against r2). Nil on
-	// spaces without a batch kernel — keepNear then falls back to
-	// per-candidate nearCached calls.
-	batchScore func(q P, ids []int32, out []float64)
-	// r2 is radius² — the threshold batchScore results are compared to;
-	// bit-identical to the squared comparison inside nearFn.
-	r2 float64
 	// memo is the resolved memory discipline: how many queriers the pool
 	// retains and how much scratch each may keep across checkouts.
 	memo MemoOptions
@@ -95,13 +86,6 @@ type querier struct {
 	// near-cache (see memo.go), in bit mode: 1 = near, 0 = far.
 	near compactMemo
 
-	// batched-scoring scratch (keepNear): memo-miss ids pending a score,
-	// per-candidate verdicts, and the kernel output block. All recycled
-	// across queries, so the batch path keeps the zero-alloc steady state.
-	pend     []int32
-	verd     []uint8
-	scoreOut []float64
-
 	// merged candidate cursor + adaptive-merge accounting.
 	mergedIDs   []int32
 	mergedRanks []int32
@@ -125,7 +109,7 @@ type querier struct {
 func (qr *querier) scratchBytes() int {
 	return qr.near.retainedBytes() +
 		4*(cap(qr.cand)+cap(qr.mergedIDs)+cap(qr.mergedRanks)) +
-		4*cap(qr.pend) + cap(qr.verd) + 8*(cap(qr.scoreOut)+cap(qr.skBuf))
+		8*cap(qr.skBuf)
 }
 
 // trim enforces the pool's scratch budget — on the querier's summed
@@ -142,7 +126,6 @@ func (qr *querier) trim(budget int) {
 	qr.cand = nil
 	qr.mergedIDs, qr.mergedRanks = nil, nil
 	qr.isMerged = false
-	qr.pend, qr.verd, qr.scoreOut = nil, nil, nil
 	qr.skBuf = nil
 	qr.near.shrink(budget)
 }
@@ -164,15 +147,6 @@ func newRankedBase[P any](space Space[P], family lsh.Family[P], params lsh.Param
 		params: params,
 		nearFn: space.Nearness(radius),
 		memo:   memo.withDefaults(),
-	}
-	// Resolve the batched scoring seam only when it is guaranteed to agree
-	// bit-for-bit with nearFn: a Distance space whose nearFn is the
-	// squared comparison (ScoreSq non-nil, radius ≥ 0) and that supplies
-	// the matching batch kernel.
-	if space.Kind == Distance && space.ScoreSq != nil && space.ScoreSqBatch != nil && radius >= 0 {
-		sqb := space.ScoreSqBatch
-		b.batchScore = func(q P, ids []int32, out []float64) { sqb(q, points, ids, out) }
-		b.r2 = radius * radius
 	}
 	b.pool.SetCap(b.memo.MaxRetainedQueriers)
 	// Draw order matters for seed-compatibility: the rank permutation comes
@@ -469,79 +443,14 @@ func (b *rankedBase[P]) nearCached(q P, qr *querier, id int32, st *QueryStats) b
 	return isNear
 }
 
-// batchMinCandidates is the block size below which keepNear's two-pass
-// batch path costs more than it saves; smaller blocks take the
-// per-candidate path.
-const batchMinCandidates = 8
-
-// verdPending marks a keepNear slot whose candidate missed the memo and
-// awaits its batched score (the memoized verdicts are 0 = far, 1 = near).
-const verdPending uint8 = 2
-
-// keepNear filters ids in place, keeping exactly the candidates within the
-// radius of q, and returns the kept prefix. It is equivalent to filtering
-// with nearCached per id — same verdicts (bit-identical threshold
-// comparison), same memo contents afterwards, same QueryStats counters —
-// but when the space has a batch kernel it scores all memo misses of the
-// block with one batchScore call: pass 1 probes the memo and collects the
-// misses into qr.pend, pass 2 scores them into qr.scoreOut, writes the
-// verdicts back into the memo and compacts the survivors. Misses scored
-// this way are additionally counted in st.BatchScored.
+// keepNear filters ids in place through nearCached, keeping exactly the
+// candidates within the radius of q, and returns the kept prefix.
 //
 //fairnn:noalloc
 func (b *rankedBase[P]) keepNear(q P, qr *querier, ids []int32, st *QueryStats) []int32 {
-	if b.batchScore == nil || len(ids) < batchMinCandidates {
-		kept := ids[:0]
-		for _, id := range ids {
-			if b.nearCached(q, qr, id, st) {
-				kept = append(kept, id)
-			}
-		}
-		return kept
-	}
-	if cap(qr.verd) < len(ids) {
-		qr.verd = make([]uint8, len(ids))
-	}
-	verd := qr.verd[:len(ids)]
-	pend := qr.pend[:0]
-	for i, id := range ids {
-		st.memoProbe()
-		if v, ok := qr.near.get(id); ok {
-			st.cacheHit()
-			verd[i] = uint8(v)
-		} else {
-			verd[i] = verdPending
-			pend = append(pend, id)
-		}
-	}
-	if len(pend) > 0 {
-		if cap(qr.scoreOut) < len(pend) {
-			qr.scoreOut = make([]float64, len(pend))
-		}
-		out := qr.scoreOut[:len(pend)]
-		b.batchScore(q, pend, out)
-		if st != nil {
-			st.ScoreEvals += len(pend)
-			st.BatchScored += len(pend)
-		}
-		j := 0
-		for i := range verd {
-			if verd[i] != verdPending {
-				continue
-			}
-			var v uint64
-			if out[j] <= b.r2 {
-				v = 1
-			}
-			verd[i] = uint8(v)
-			qr.near.put(pend[j], v)
-			j++
-		}
-	}
-	qr.pend = pend
 	kept := ids[:0]
-	for i, id := range ids {
-		if verd[i] == 1 {
+	for _, id := range ids {
+		if b.nearCached(q, qr, id, st) {
 			kept = append(kept, id)
 		}
 	}

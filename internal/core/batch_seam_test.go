@@ -1,20 +1,24 @@
 package core
 
-// Tests for the batched candidate-scoring seam: Space.ScoreSqBatch routed
-// through rankedBase.keepNear (Section 4) and the blocked existence scan
-// of the Section 5 sampler. The seam's contract is that batching changes
-// cost, never output: within one build the batched and per-candidate
-// paths must produce bit-identical sample streams and identical counters,
-// and the accelerated kernel tier must either reproduce the portable
-// stream exactly or — where last-bit FP divergence flips a verdict — keep
-// the output distribution uniform on the ball (the chi-squared oracle the
-// repo uses for every stream-affecting change).
+// Tests for Section 4 scoring over a distance space and for the kernel
+// tiers under both samplers. Section 4 scores one candidate at a time
+// through the near-cache (keepNear and the merged cursor both call
+// nearCached), and its ℓ2 stream is pinned. The Section 5 sampler's
+// blocked existence scan batches its scores, and batching changes cost,
+// never output. Across kernel tiers the streams must either be
+// bit-identical or — where a last-bit FP divergence flips a verdict —
+// stay uniform on the ball (the chi-squared oracle the repo uses for
+// every stream-affecting change).
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 
 	"fairnn/internal/lsh"
+	"fairnn/internal/rng"
 	"fairnn/internal/stats"
 	"fairnn/internal/vector"
 )
@@ -29,81 +33,102 @@ func euclideanBall(t *testing.T, seed uint64) ([]vector.Vec, vector.Vec, float64
 	return w.Points, w.Query, radius
 }
 
-// newEuclideanIndependent builds the Section 4 sampler over the ℓ2 space,
-// optionally with the batch seam stripped (ScoreSqBatch = nil), so the
-// batched and per-candidate scoring paths can be compared on otherwise
-// identical structures.
-func newEuclideanIndependent(t *testing.T, batch bool, seed uint64) (*Independent[vector.Vec], vector.Vec) {
+// newEuclideanIndependent builds the Section 4 sampler over the ℓ2 space.
+func newEuclideanIndependent(t *testing.T, seed uint64) (*Independent[vector.Vec], vector.Vec) {
 	t.Helper()
 	pts, q, radius := euclideanBall(t, 307)
-	space := Euclidean()
-	if !batch {
-		space.ScoreSqBatch = nil
-	}
-	d, err := NewIndependent[vector.Vec](space, lsh.Euclidean{Dim: len(q), W: 2 * radius}, lsh.Params{K: 2, L: 12}, pts, radius, IndependentOptions{}, seed)
+	d, err := NewIndependent[vector.Vec](Euclidean(), lsh.Euclidean{Dim: len(q), W: 2 * radius}, lsh.Params{K: 2, L: 12}, pts, radius, IndependentOptions{}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d, q
 }
 
-// TestBatchSeamIdenticalStreams pins the seam's core invariant over the
-// compact memo: stripping ScoreSqBatch (forcing per-candidate nearCached)
-// changes neither any sample nor any counter.
-func TestBatchSeamIdenticalStreams(t *testing.T) {
-	t.Run("compact", func(t *testing.T) {
-		batched, q := newEuclideanIndependent(t, true, 311)
-		plain, _ := newEuclideanIndependent(t, false, 311)
-		sawBatch := false
-		for i := 0; i < 150; i++ {
-			var bst, pst QueryStats
-			gotID, gotOK := batched.Sample(q, &bst)
-			wantID, wantOK := plain.Sample(q, &pst)
-			if gotID != wantID || gotOK != wantOK {
-				t.Fatalf("Sample #%d: batched (%d, %v), plain (%d, %v)", i, gotID, gotOK, wantID, wantOK)
-			}
-			if bst.ScoreEvals != pst.ScoreEvals || bst.ScoreCacheHits != pst.ScoreCacheHits ||
-				bst.PointsInspected != pst.PointsInspected || bst.MemoProbes != pst.MemoProbes {
-				t.Fatalf("Sample #%d counters diverged: batched %+v, plain %+v", i, bst, pst)
-			}
-			if pst.BatchScored != 0 {
-				t.Fatalf("plain path reported BatchScored = %d", pst.BatchScored)
-			}
-			if bst.BatchScored > bst.ScoreEvals {
-				t.Fatalf("BatchScored %d exceeds ScoreEvals %d", bst.BatchScored, bst.ScoreEvals)
-			}
-			sawBatch = sawBatch || bst.BatchScored > 0
+// TestEuclideanStreamDigestPinned pins the Section 4 sampler's same-seed
+// output and work counters over a distance space: Sample ids over a mix
+// of planted, band and random queries, SampleK ids of the planted query,
+// and the summed counters, with the number of calls that merged their
+// candidate cursor: each call starts on per-bucket range reports and
+// nearly all switch to the merged cursor, so both segment-report
+// strategies are covered. The build goes through Euclidean(), so the
+// near test is the sqrt-free ScoreSq comparison against r². No Section 4
+// path scores through a batched kernel, so BatchScored must stay 0.
+func TestEuclideanStreamDigestPinned(t *testing.T) {
+	w := plantedWorkload(t, 400, 24, 60, 0.8, 0.3, 307)
+	radius := 0.632455532033676 // √(2−2·0.8), as in euclideanBall
+	d, err := NewIndependent[vector.Vec](Euclidean(), lsh.Euclidean{Dim: len(w.Query), W: 2 * radius}, lsh.Params{K: 2, L: 12}, w.Points, radius, IndependentOptions{}, 347)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []vector.Vec{w.Query}
+	for _, id := range w.BallIDs[:4] {
+		queries = append(queries, w.Points[id])
+	}
+	for _, id := range w.MidIDs[:3] {
+		queries = append(queries, w.Points[id])
+	}
+	r := rng.New(349)
+	for len(queries) < 10 {
+		queries = append(queries, vector.RandomUnit(r, len(w.Query)))
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	var sum QueryStats
+	merged := 0
+	count := func(st QueryStats) {
+		sum.add(st)
+		if st.CursorMerged {
+			merged++
 		}
-		for i := 0; i < 25; i++ {
-			var bst QueryStats
-			got := batched.SampleK(q, 20, &bst)
-			want := plain.SampleK(q, 20, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("SampleK #%d: batched %v, plain %v", i, got, want)
-			}
-			sawBatch = sawBatch || bst.BatchScored > 0
+	}
+	for i := 0; i < 400; i++ {
+		var st QueryStats
+		id, ok := d.Sample(queries[i%len(queries)], &st)
+		if !ok {
+			id = -1
 		}
-		if !sawBatch {
-			t.Error("batched structure never exercised the batch path (BatchScored stayed 0)")
+		put(int64(id))
+		count(st)
+	}
+	for i := 0; i < 10; i++ {
+		var st QueryStats
+		for _, id := range d.SampleK(w.Query, 20, &st) {
+			put(int64(id))
 		}
-	})
+		count(st)
+	}
+	for _, c := range []int{sum.BucketsScanned, sum.PointsInspected, sum.ScoreEvals,
+		sum.ScoreCacheHits, sum.MemoProbes, sum.Rounds, merged} {
+		put(int64(c))
+	}
+	t.Logf("merged %d, batched %d of %d score evals", merged, sum.BatchScored, sum.ScoreEvals)
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "61ec95b9cc4bdab3"; got != want {
+		t.Errorf("ℓ2 stream digest %s, want %s", got, want)
+	}
+	if sum.BatchScored != 0 {
+		t.Errorf("BatchScored = %d, want 0", sum.BatchScored)
+	}
 }
 
 // TestKeepNearMatchesNearCached checks both memoized Section 4 filters
-// against the predicate they cache: keepNear (the two-pass block filter)
-// and per-candidate nearCached must each keep exactly the ids that nearFn,
-// called directly with no memo, accepts, with identical counters, for
-// block sizes on either side of batchMinCandidates. Each block runs four
-// passes: a fresh epoch, a repeat answered from the memo, a new epoch
-// (the next getQuerier) under a different query, where any verdict left
-// over from the first epoch would be wrong, and a pass after trim(0) has
-// freed the table.
+// against the predicate they cache: keepNear (the block filter of the
+// per-bucket segment report) and per-candidate nearCached must each keep
+// exactly the ids that nearFn, called directly with no memo, accepts,
+// with identical counters, for blocks from one id to the whole point
+// set. Each block runs four passes: a fresh epoch, a repeat answered
+// from the memo, a new epoch (the next getQuerier) under a different
+// query, where any verdict left over from the first epoch would be
+// wrong, and a pass after trim(0) has freed the table.
 func TestKeepNearMatchesNearCached(t *testing.T) {
 	t.Run("compact", func(t *testing.T) {
-		a, q := newEuclideanIndependent(t, true, 313)
-		b, _ := newEuclideanIndependent(t, true, 313)
+		a, q := newEuclideanIndependent(t, 313)
+		b, _ := newEuclideanIndependent(t, 313)
 		q2 := a.Point(int32(a.N() - 1))
-		for _, block := range []int{1, batchMinCandidates - 1, batchMinCandidates, 64, 400} {
+		for _, block := range []int{1, 8, 64, 400} {
 			ids := make([]int32, 0, block)
 			for id := 0; id < block && id < a.N(); id++ {
 				ids = append(ids, int32(id))
@@ -176,11 +201,11 @@ func TestAccelVsPortableStreams(t *testing.T) {
 
 	const draws = 400
 	vector.SetAccelerated(false)
-	portable, q := newEuclideanIndependent(t, true, 317)
+	portable, q := newEuclideanIndependent(t, 317)
 	portableStream := portable.SampleK(q, draws, nil)
 
 	vector.SetAccelerated(true)
-	accel, _ := newEuclideanIndependent(t, true, 317)
+	accel, _ := newEuclideanIndependent(t, 317)
 	accelStream := accel.SampleK(q, draws, nil)
 
 	if slices.Equal(portableStream, accelStream) {

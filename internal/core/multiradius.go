@@ -158,12 +158,9 @@ func (m *MultiRadius[P]) SampleAtLeast(q P, minBall int, st *QueryStats) (id int
 		if minBall <= 1 {
 			return cand, m.radii[i], true
 		}
-		// Estimate ball size from the sketch estimate — a ≥ (1-ε) lower
-		// bound on candidates; refine by exact counting only if the
-		// estimate is below the requirement.
-		if st != nil && st.SketchEstimate >= float64(2*minBall) {
-			return cand, m.radii[i], true
-		}
+		// Count the recalled ball exactly. The sketch estimate ŝ_q
+		// counts every colliding point, near or far, so it cannot stand
+		// in for the ball size.
 		if s.recalledBallSize(q, minBall) >= minBall {
 			return cand, m.radii[i], true
 		}

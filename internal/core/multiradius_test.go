@@ -81,19 +81,23 @@ func TestMultiRadiusUniformAtChosenRadius(t *testing.T) {
 
 func TestMultiRadiusSampleAtLeast(t *testing.T) {
 	// Require at least 10 near points: radius 3 has only 4, radius 9 has
-	// 10 — the query must step up to radius 9.
+	// 10 — the query must step up to radius 9. Every point collides with
+	// the query, so the sketch estimate (40) would overstate both balls:
+	// the answer must not depend on whether the caller passes stats.
 	m := newLineMulti(t, 40, []float64{3, 9}, 317)
-	_, r, ok := m.SampleAtLeast(0, 10, nil)
-	if !ok {
-		t.Fatal("sample failed")
-	}
-	if r != 9 {
-		t.Errorf("picked radius %v, want 9 for minBall=10", r)
-	}
-	// With minBall 1 the tightest radius suffices.
-	_, r, ok = m.SampleAtLeast(0, 1, nil)
-	if !ok || r != 3 {
-		t.Errorf("minBall=1 picked radius %v, want 3", r)
+	for _, st := range []*QueryStats{nil, {}} {
+		_, r, ok := m.SampleAtLeast(0, 10, st)
+		if !ok {
+			t.Fatal("sample failed")
+		}
+		if r != 9 {
+			t.Errorf("stats %v: picked radius %v, want 9 for minBall=10", st != nil, r)
+		}
+		// With minBall 1 the tightest radius suffices.
+		_, r, ok = m.SampleAtLeast(0, 1, st)
+		if !ok || r != 3 {
+			t.Errorf("stats %v: minBall=1 picked radius %v, want 3", st != nil, r)
+		}
 	}
 }
 

@@ -256,26 +256,16 @@ func (d *Independent[P]) segmentNear(q P, qr *querier, lo, hi int32, st *QuerySt
 		d.base.materializeMerged(qr, st)
 	}
 	if qr.isMerged {
+		// Filter inline in the same pass as the segment scan (collecting
+		// first would only add a second pass).
 		ranks := qr.mergedRanks
-		if d.base.batchScore == nil {
-			// No batch kernel: filter inline in the same pass as the
-			// segment scan (collecting first would only add a second pass).
-			kept := qr.cand[:0]
-			for i := rank.SearchRanks(ranks, lo); i < len(ranks) && ranks[i] < hi; i++ {
-				st.point()
-				if id := qr.mergedIDs[i]; d.base.nearCached(q, qr, id, st) {
-					kept = append(kept, id)
-				}
-			}
-			qr.cand = kept[:0]
-			return kept
-		}
-		cands := qr.cand[:0]
+		kept := qr.cand[:0]
 		for i := rank.SearchRanks(ranks, lo); i < len(ranks) && ranks[i] < hi; i++ {
 			st.point()
-			cands = append(cands, qr.mergedIDs[i])
+			if id := qr.mergedIDs[i]; d.base.nearCached(q, qr, id, st) {
+				kept = append(kept, id)
+			}
 		}
-		kept := d.base.keepNear(q, qr, cands, st)
 		qr.cand = kept[:0]
 		return kept
 	}
@@ -287,7 +277,7 @@ func (d *Independent[P]) segmentNear(q P, qr *querier, lo, hi int32, st *QuerySt
 		}
 		work++ // one binary search per bucket
 		before := len(cands)
-		cands = bucket.RangeReport(d.base.asg, lo, hi, cands)
+		cands = bucket.RangeReport(lo, hi, cands)
 		st.points(len(cands) - before)
 	}
 	qr.rangeWork += work + len(cands)
@@ -298,8 +288,7 @@ func (d *Independent[P]) segmentNear(q P, qr *querier, lo, hi int32, st *QuerySt
 	// Deduplicate ids that occur in several buckets.
 	slices.Sort(cands)
 	cands = slices.Compact(cands)
-	// Keep the near ones (batched over the memo misses when the space has
-	// a batch kernel).
+	// Keep the near ones.
 	return d.base.keepNear(q, qr, cands, st)
 }
 

@@ -43,14 +43,6 @@ type Space[P any] struct {
 	// skips the final square root. Near tests then compare against r²
 	// instead of evaluating math.Sqrt per candidate.
 	ScoreSq func(a, b P) float64
-	// ScoreSqBatch, when non-nil on a Distance space with ScoreSq, fills
-	// out[k] = ScoreSq(q, pts[ids[k]]) for every k — the gather form lets
-	// hot loops score a block of memo-miss candidates per call instead of
-	// per candidate, hoisting kernel dispatch and query setup out of the
-	// loop. It must be bit-identical to per-pair ScoreSq calls so batched
-	// and unbatched queries produce the same verdicts (and therefore the
-	// same sample streams).
-	ScoreSqBatch func(q P, pts []P, ids []int32, out []float64)
 }
 
 // Near reports whether a score meets the threshold r under the space's
@@ -95,16 +87,9 @@ func InnerProduct() Space[vector.Vec] {
 }
 
 // Euclidean is the ℓ2 distance space. Its ScoreSq kernel lets near tests
-// compare squared distances against r², skipping the square root, and its
-// ScoreSqBatch kernel scores whole candidate blocks per call (bit-identical
-// to per-pair ScoreSq on either kernel tier; see internal/vector).
+// compare squared distances against r², skipping the square root.
 func Euclidean() Space[vector.Vec] {
-	return Space[vector.Vec]{
-		Kind:         Distance,
-		Score:        vector.Euclidean,
-		ScoreSq:      vector.SquaredEuclidean,
-		ScoreSqBatch: vector.SquaredEuclideanBatchIDs,
-	}
+	return Space[vector.Vec]{Kind: Distance, Score: vector.Euclidean, ScoreSq: vector.SquaredEuclidean}
 }
 
 // QueryStats accumulates per-query cost counters; every query method
@@ -118,8 +103,9 @@ type QueryStats struct {
 	// ScoreEvals counts distance/similarity evaluations.
 	ScoreEvals int
 	// BatchScored counts the subset of ScoreEvals performed through a
-	// batched kernel call (Space.ScoreSqBatch or the Section 5 blocked
-	// existence scan) rather than one evaluation at a time.
+	// batched kernel call (the Section 5 blocked existence scan) rather
+	// than one evaluation at a time; Section 4 scores one candidate at a
+	// time and leaves it 0.
 	BatchScored int
 	// ScoreCacheHits counts near/similarity tests answered from the
 	// per-query memo table (the epoch-stamped near-cache) instead of

@@ -150,11 +150,11 @@ func RunCost(cfg CostConfig) (*CostResult, error) {
 			}))
 	}
 
-	// Vector probes on a planted ℓ2/inner-product workload: the set
-	// samplers above never batch (Jaccard has no batch kernel), so these
-	// two rows are where the batched-scoring column is live — the ℓ2 NNIS
-	// scores memo-miss candidate blocks through Space.ScoreSqBatch and the
-	// Section 5 sampler runs its blocked existence scan.
+	// Vector probes on a planted ℓ2/inner-product workload: the Section 4
+	// sampler over the ℓ2 distance space (sqrt-free ScoreSq near tests,
+	// one candidate at a time, so its batched-scoring column reads 0 like
+	// the set rows above) and the Section 5 sampler, whose blocked
+	// existence scan is where that column is live.
 	ball := dataset.NewPlantedBall(dataset.PlantedBallConfig{
 		N: 4000, Dim: 32, Alpha: 0.8, Beta: 0.5,
 		BallSize: 40, MidSize: 160, Seed: cfg.Seed + 31,
@@ -171,7 +171,7 @@ func RunCost(cfg CostConfig) (*CostResult, error) {
 	}
 	reps := len(queries) * cfg.RepsPerQuery
 	res.Rows = append(res.Rows,
-		measureProbe("ℓ2 NNIS (batched kernels)", reps, func(i int, st *core.QueryStats) bool {
+		measureProbe("ℓ2 NNIS", reps, func(i int, st *core.QueryStats) bool {
 			_, ok := vecInd.Sample(ball.Query, st)
 			return ok
 		}),

@@ -1,9 +1,12 @@
 // Package lsh implements the locality-sensitive hashing framework of
 // Section 2.2: hash families (MinHash, 1-bit MinHash, SimHash, p-stable
 // E2LSH, bit sampling), AND-composition of K functions into one bucket key,
-// the L-table structure, and the parameter-selection rules the paper's
-// experiments use (Section 6: pick K so that few far points collide, pick L
-// so that near points are recalled with 99% probability).
+// the batched signature engine that computes a point's L bucket keys in one
+// pass, and the parameter-selection rules the paper's experiments use
+// (Section 6: pick K so that few far points collide, pick L so that near
+// points are recalled with 99% probability). The L tables themselves live
+// with the data structures in internal/core, which group points by these
+// keys into buckets of their own layout.
 //
 // A family is generic over the point type P (sparse sets for Jaccard,
 // dense vectors for angular/Euclidean), so the fair samplers in
@@ -74,116 +77,6 @@ func (p Params) Validate() error {
 		return errors.New("lsh: L must be >= 1")
 	}
 	return nil
-}
-
-// Tables is the standard L-table LSH structure over a fixed point slice:
-// table i partitions the points by the AND-composition g_i of K functions.
-// Buckets store point indices in insertion order; the fair data structures
-// in internal/core layer rank-sorted buckets on top instead.
-type Tables[P any] struct {
-	params Params
-	signer *Signer[P]
-	// buckets[i] maps g_i(p) to the indices of the points in that bucket.
-	buckets []map[uint64][]int32
-	n       int
-}
-
-// Build constructs the L tables over points. The same drawn functions g_i
-// are applied to every point — collisions across points within one table
-// are therefore correlated, which is essential to the phenomena studied in
-// Section 6.2. All L·K hash values of a point are computed by the batched
-// signature engine in one pass over the point.
-func Build[P any](family Family[P], params Params, points []P, r *rng.Source) (*Tables[P], error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	t := &Tables[P]{
-		params:  params,
-		signer:  NewSigner(family, params.L*params.K, r),
-		buckets: make([]map[uint64][]int32, params.L),
-		n:       len(points),
-	}
-	for i := range t.buckets {
-		t.buckets[i] = make(map[uint64][]int32)
-	}
-	sig := make([]uint64, params.L*params.K)
-	keys := make([]uint64, params.L)
-	for id, p := range points {
-		t.signer.Sign(p, sig)
-		CombineKeys(sig, params.K, keys)
-		for i, key := range keys {
-			t.buckets[i][key] = append(t.buckets[i][key], int32(id))
-		}
-	}
-	return t, nil
-}
-
-// Params returns the (K, L) pair the table set was built with.
-func (t *Tables[P]) Params() Params { return t.params }
-
-// N returns the number of indexed points.
-func (t *Tables[P]) N() int { return t.n }
-
-// Keys appends the L bucket keys of p (one per table) and returns them.
-func (t *Tables[P]) Keys(p P) []uint64 {
-	sig := make([]uint64, t.params.L*t.params.K)
-	t.signer.Sign(p, sig)
-	keys := make([]uint64, t.params.L)
-	CombineKeys(sig, t.params.K, keys)
-	return keys
-}
-
-// Key returns g_i(p), the bucket key of p in table i.
-func (t *Tables[P]) Key(i int, p P) uint64 {
-	sig := make([]uint64, t.params.K)
-	t.signer.SignRange(p, i*t.params.K, (i+1)*t.params.K, sig)
-	return TableKey(sig)
-}
-
-// Bucket returns the ids colliding with q in table i (nil when empty).
-// The returned slice is owned by the table and must not be modified.
-func (t *Tables[P]) Bucket(i int, q P) []int32 {
-	return t.buckets[i][t.Key(i, q)]
-}
-
-// BucketByKey returns the ids stored under key in table i.
-func (t *Tables[P]) BucketByKey(i int, key uint64) []int32 {
-	return t.buckets[i][key]
-}
-
-// CandidateSet returns the deduplicated union of q's buckets over all L
-// tables — the set S_q of Section 3. The scratch slice, if non-nil, is
-// reused to avoid allocation.
-func (t *Tables[P]) CandidateSet(q P, scratch []int32) []int32 {
-	seen := make(map[int32]struct{})
-	out := scratch[:0]
-	for i, key := range t.Keys(q) {
-		for _, id := range t.buckets[i][key] {
-			if _, ok := seen[id]; ok {
-				continue
-			}
-			seen[id] = struct{}{}
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// TotalBucketEntries returns the total number of (table, point) entries,
-// i.e. L·n; exposed for space accounting in the experiments.
-func (t *Tables[P]) TotalBucketEntries() int { return t.params.L * t.n }
-
-// MaxBucketLoad returns the size of the largest bucket over all tables.
-func (t *Tables[P]) MaxBucketLoad() int {
-	max := 0
-	for _, b := range t.buckets {
-		for _, ids := range b {
-			if len(ids) > max {
-				max = len(ids)
-			}
-		}
-	}
-	return max
 }
 
 // powNonNeg returns p^k for k >= 0 without math.Pow edge cases.

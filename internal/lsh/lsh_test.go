@@ -204,77 +204,3 @@ func TestParamsValidate(t *testing.T) {
 		t.Errorf("valid params rejected: %v", err)
 	}
 }
-
-func TestTablesSelfRecall(t *testing.T) {
-	// A point always shares every bucket with itself, so its candidate set
-	// must contain it.
-	r := rng.New(18)
-	points := make([]set.Set, 50)
-	for i := range points {
-		items := make([]uint32, 10)
-		for j := range items {
-			items[j] = uint32(r.Intn(200))
-		}
-		points[i] = set.FromSlice(items)
-	}
-	tb, err := Build[set.Set](OneBitMinHash{}, Params{K: 4, L: 6}, points, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, p := range points {
-		found := false
-		for _, c := range tb.CandidateSet(p, nil) {
-			if c == int32(id) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("point %d not in its own candidate set", id)
-		}
-	}
-	if tb.N() != 50 {
-		t.Errorf("N = %d", tb.N())
-	}
-	if tb.TotalBucketEntries() != 50*6 {
-		t.Errorf("TotalBucketEntries = %d", tb.TotalBucketEntries())
-	}
-	if tb.MaxBucketLoad() < 1 {
-		t.Errorf("MaxBucketLoad = %d", tb.MaxBucketLoad())
-	}
-}
-
-func TestTablesBucketConsistency(t *testing.T) {
-	r := rng.New(19)
-	points := []set.Set{set.Range(1, 10), set.Range(5, 15), set.Range(100, 110)}
-	tb, err := Build[set.Set](MinHash{}, Params{K: 1, L: 3}, points, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		for id, p := range points {
-			key := tb.Key(i, p)
-			inBucket := false
-			for _, c := range tb.BucketByKey(i, key) {
-				if c == int32(id) {
-					inBucket = true
-				}
-			}
-			if !inBucket {
-				t.Fatalf("point %d missing from its bucket in table %d", id, i)
-			}
-			// Bucket(q) must agree with BucketByKey(Key(q)).
-			got := tb.Bucket(i, p)
-			want := tb.BucketByKey(i, key)
-			if len(got) != len(want) {
-				t.Fatalf("Bucket and BucketByKey disagree")
-			}
-		}
-	}
-}
-
-func TestBuildRejectsBadParams(t *testing.T) {
-	if _, err := Build[set.Set](MinHash{}, Params{K: 0, L: 1}, []set.Set{set.Range(1, 2)}, rng.New(1)); err == nil {
-		t.Error("bad params accepted")
-	}
-}

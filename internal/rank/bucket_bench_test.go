@@ -7,10 +7,9 @@ import (
 	"fairnn/internal/rng"
 )
 
-// Crossover benchmarks: sorted-slice Bucket vs Treap for the operations
-// the core data structures perform. Slices win for the small buckets LSH
-// typically produces (O(bucket) memmove beats pointer chasing); treaps win
-// for the large, frequently-updated buckets of the Appendix A workload.
+// Bucket benchmarks for the operations the core data structures perform:
+// the Remove/Insert pair that brackets an Appendix A rank swap, and the
+// Section 4 segment report.
 
 func benchIDs(n int) []int32 {
 	ids := make([]int32, n)
@@ -20,11 +19,11 @@ func benchIDs(n int) []int32 {
 	return ids
 }
 
-func BenchmarkBucketVsTreap(b *testing.B) {
+func BenchmarkBucket(b *testing.B) {
 	for _, size := range []int{16, 256, 4096} {
 		a := NewAssignment(size, rng.New(1))
 		src := rng.New(2)
-		b.Run(fmt.Sprintf("slice/update/n=%d", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("update/n=%d", size), func(b *testing.B) {
 			bk := NewBucket(benchIDs(size), a)
 			for i := 0; i < b.N; i++ {
 				id := int32(src.Intn(size))
@@ -32,28 +31,12 @@ func BenchmarkBucketVsTreap(b *testing.B) {
 				bk.Insert(a, id)
 			}
 		})
-		b.Run(fmt.Sprintf("treap/update/n=%d", size), func(b *testing.B) {
-			tr := NewTreap(benchIDs(size), a)
-			for i := 0; i < b.N; i++ {
-				id := int32(src.Intn(size))
-				tr.Remove(a, id)
-				tr.Insert(a, id)
-			}
-		})
-		b.Run(fmt.Sprintf("slice/range/n=%d", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("range/n=%d", size), func(b *testing.B) {
 			bk := NewBucket(benchIDs(size), a)
 			out := make([]int32, 0, 64)
 			for i := 0; i < b.N; i++ {
 				lo := int32(src.Intn(size))
-				out = bk.RangeReport(a, lo, lo+int32(size/16)+1, out[:0])
-			}
-		})
-		b.Run(fmt.Sprintf("treap/range/n=%d", size), func(b *testing.B) {
-			tr := NewTreap(benchIDs(size), a)
-			out := make([]int32, 0, 64)
-			for i := 0; i < b.N; i++ {
-				lo := int32(src.Intn(size))
-				out = tr.RangeReport(lo, lo+int32(size/16)+1, out[:0])
+				out = bk.RangeReport(lo, lo+int32(size/16)+1, out[:0])
 			}
 		})
 	}

@@ -143,9 +143,6 @@ func (b *Bucket) Ranks() []int32 { return b.ranks }
 // At returns the i-th id in rank order.
 func (b *Bucket) At(i int) int32 { return b.ids[i] }
 
-// RankAt returns the rank of the i-th id in rank order.
-func (b *Bucket) RankAt(i int) int32 { return b.ranks[i] }
-
 // searchRanks returns the first index whose rank is >= target. Manual
 // binary search over the local rank slice: no closure, no Assignment
 // indirection, no allocation.
@@ -168,7 +165,7 @@ func searchRanks(ranks []int32, target int32) int {
 // in ascending rank order, using binary search: O(log |bucket| + output).
 //
 //fairnn:noalloc
-func (b *Bucket) RangeReport(_ *Assignment, loRank, hiRank int32, out []int32) []int32 {
+func (b *Bucket) RangeReport(loRank, hiRank int32, out []int32) []int32 {
 	i := searchRanks(b.ranks, loRank)
 	for ; i < len(b.ranks) && b.ranks[i] < hiRank; i++ {
 		out = append(out, b.ids[i])
@@ -177,7 +174,7 @@ func (b *Bucket) RangeReport(_ *Assignment, loRank, hiRank int32, out []int32) [
 }
 
 // CountRange returns the number of ids with rank in [loRank, hiRank).
-func (b *Bucket) CountRange(_ *Assignment, loRank, hiRank int32) int {
+func (b *Bucket) CountRange(loRank, hiRank int32) int {
 	return searchRanks(b.ranks, hiRank) - searchRanks(b.ranks, loRank)
 }
 

@@ -81,7 +81,7 @@ func TestBucketSortedAndRangeReport(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		got := b.RangeReport(a, lo, hi, nil)
+		got := b.RangeReport(lo, hi, nil)
 		// Reference: filter the bucket's ids naively.
 		var want []int32
 		for id := range seen {
@@ -92,7 +92,7 @@ func TestBucketSortedAndRangeReport(t *testing.T) {
 		if len(got) != len(want) {
 			return false
 		}
-		if b.CountRange(a, lo, hi) != len(want) {
+		if b.CountRange(lo, hi) != len(want) {
 			return false
 		}
 		// got must be sorted by rank and contain exactly want's members.
@@ -186,7 +186,7 @@ func TestRangeReportAppends(t *testing.T) {
 	a := IdentityAssignment(10)
 	b := NewBucket([]int32{1, 2, 3}, a)
 	pre := []int32{99}
-	out := b.RangeReport(a, 0, 10, pre)
+	out := b.RangeReport(0, 10, pre)
 	if len(out) != 4 || out[0] != 99 {
 		t.Fatalf("RangeReport did not append: %v", out)
 	}

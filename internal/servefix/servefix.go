@@ -10,6 +10,7 @@
 package servefix
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -63,8 +64,24 @@ func (sp Spec) Validate() error {
 	if sp.Radius <= 0 {
 		return fmt.Errorf("servefix: radius %g <= 0", sp.Radius)
 	}
+	if sp.Dataset == "vec" && !(sp.Radius > vecBeta && sp.Radius < vecAlphaMax) {
+		return fmt.Errorf("%w: %g outside (%g, %g)", errVecRadius, sp.Radius, vecBeta, vecAlphaMax)
+	}
 	return nil
 }
+
+// The vec fixture plants its far band between vecBeta and α and its near
+// points in (α, min(α+0.2, vecAlphaMax)] (dataset.NewPlantedBall), so
+// only a threshold α strictly between vecBeta and vecAlphaMax has near
+// points strictly above it.
+const (
+	vecBeta     = 0.5
+	vecAlphaMax = 0.98
+)
+
+// errVecRadius reports a vec similarity threshold α outside the range
+// where the planted-ball fixture has near points above it.
+var errVecRadius = errors.New("servefix: vec similarity threshold")
 
 // Partitioner returns the fixture partitioning scheme (round-robin —
 // the client and every server must agree on it).
@@ -120,7 +137,7 @@ func (sp Spec) LinePoints() []int {
 // Spec always yields the same vectors and the same planted query.
 func (sp Spec) VecWorkload() dataset.PlantedBall {
 	return dataset.NewPlantedBall(dataset.PlantedBallConfig{
-		N: sp.N, Dim: sp.Dim, Alpha: sp.Radius, Beta: 0.5,
+		N: sp.N, Dim: sp.Dim, Alpha: sp.Radius, Beta: vecBeta,
 		BallSize: 16, MidSize: 48, Seed: sp.Seed,
 	})
 }

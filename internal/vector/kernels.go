@@ -147,29 +147,6 @@ func SquaredEuclideanBatch(q Vec, pts []Vec, out []float64) {
 	}
 }
 
-// SquaredEuclideanBatchIDs computes out[k] = SquaredEuclidean(q,
-// pts[ids[k]]) for every k — the gather form behind core.Space's
-// ScoreSqBatch seam.
-func SquaredEuclideanBatchIDs(q Vec, pts []Vec, ids []int32, out []float64) {
-	if asmSupported && accelOn.Load() && len(q) >= asmBlock {
-		for k, id := range ids {
-			p := pts[id]
-			if len(p) != len(q) {
-				panic("vector: dimension mismatch")
-			}
-			out[k] = sqDistAccel(q, p)
-		}
-		return
-	}
-	for k, id := range ids {
-		p := pts[id]
-		if len(p) != len(q) {
-			panic("vector: dimension mismatch")
-		}
-		out[k] = squaredEuclideanGeneric(q, p)
-	}
-}
-
 // DotRows computes out[i-lo] = Dot(rows[i*dim:(i+1)*dim], v) for i in
 // [lo, hi) over a flat row-major matrix — the signing inner products of
 // the SimHash/E2LSH batch families. Per-row results are bit-identical to

@@ -103,12 +103,6 @@ func TestBatchMatchesSingleBitIdentical(t *testing.T) {
 					t.Fatalf("accel=%v d=%d: DotBatchIDs[%d] = %v, Dot = %v", accel, d, k, out[k], Dot(q, pts[id]))
 				}
 			}
-			SquaredEuclideanBatchIDs(q, pts, ids, out[:len(ids)])
-			for k, id := range ids {
-				if out[k] != SquaredEuclidean(q, pts[id]) {
-					t.Fatalf("accel=%v d=%d: SquaredEuclideanBatchIDs[%d] = %v, single = %v", accel, d, k, out[k], SquaredEuclidean(q, pts[id]))
-				}
-			}
 			DotRows(rows, d, q, 2, 19, out[:17])
 			for k := 0; k < 17; k++ {
 				if out[k] != Dot(pts[2+k], q) {

@@ -459,13 +459,17 @@ func AppendHealthResp(dst []byte, recs []HealthRecord) []byte {
 	return dst
 }
 
+// healthRecordSize is the encoded size of one HealthRecord: shard (4),
+// healthy (1), six u64 counters (48), active plans and conns (8).
+const healthRecordSize = 61
+
 // DecodeHealthResp decodes a health snapshot payload.
 func DecodeHealthResp(b []byte) ([]HealthRecord, error) {
 	c := cursor{b: b}
 	n := int(c.u32("health.count"))
-	if c.err == nil && n > len(b)/4 {
-		// A record is ≥ 61 bytes; a count this large cannot fit the
-		// payload, so reject before allocating attacker-chosen capacity.
+	if c.err == nil && n > (len(b)-4)/healthRecordSize {
+		// The records after the count cannot fit the payload, so reject
+		// before allocating attacker-chosen capacity.
 		return nil, &ProtocolError{Reason: fmt.Sprintf("health record count %d impossible for %d-byte payload", n, len(b))}
 	}
 	recs := make([]HealthRecord, 0, n)

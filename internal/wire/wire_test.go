@@ -188,6 +188,15 @@ func TestHealthCountBomb(t *testing.T) {
 	if _, err := DecodeHealthResp(bomb); err == nil {
 		t.Fatal("impossible health record count accepted")
 	}
+	// 400 bytes after the count hold 6 records of 61 bytes, not 100: the
+	// count must be refused before any record is allocated, not after
+	// the records run out.
+	short := append(appendU32(nil, 100), make([]byte, 400)...)
+	_, err := DecodeHealthResp(short)
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Reason, "impossible") {
+		t.Fatalf("100 records in a %d-byte payload: got %v, want the impossible-count ProtocolError", len(short), err)
+	}
 }
 
 func TestCodecRoundTrips(t *testing.T) {
